@@ -52,7 +52,6 @@ from .depth import (
     DepthReport,
     depth,
     hochster_betti_table,
-    is_cohen_macaulay_reisner,
 )
 from .checks import (
     CHECK_IDS,
@@ -74,7 +73,7 @@ __all__ = [
     "SweepReport", "Z", "alexander_dual", "boundary_matrix", "clean_face",
     "complex_from_generators", "delta_of_complex", "delta_of_primes", "depth",
     "enumerate_complexes", "euler_characteristic", "f_vector", "full_simplex",
-    "hochster_betti_table", "is_cohen_macaulay_reisner", "link",
+    "hochster_betti_table", "link",
     "make_complex", "minimal_nonfaces", "minimal_primes", "nerve",
     "nerve_of_facets", "random_complexes", "reduced_euler_characteristic",
     "reduced_homology", "reduced_homology_field", "reduced_homology_z",

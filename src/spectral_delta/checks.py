@@ -461,9 +461,14 @@ def _pool_init(check_ids, coeffs):
     _WORKER_ARGS = (check_ids, coeffs)
 
 
-def _pool_run(K: SimplicialComplex) -> list[CheckOutcome]:
+def _pool_run(K: SimplicialComplex) -> tuple[list[CheckOutcome], bool]:
+    """Outcomes for one complex, plus whether it shows integral torsion
+    when the sweep tracks it.  The checks have usually cached the
+    integral homology by then, so the flag costs the worker little."""
     check_ids, coeffs = _WORKER_ARGS
-    return run_instance(K, check_ids, coeffs)
+    outcomes = run_instance(K, check_ids, coeffs)
+    track_torsion = any(not c.is_field for c in coeffs)
+    return outcomes, track_torsion and _has_torsion(K)
 
 
 def sweep(n: int, mode: str = "exhaustive", seed: int | None = None,
@@ -508,9 +513,9 @@ def sweep(n: int, mode: str = "exhaustive", seed: int | None = None,
                 max_workers=workers, initializer=_pool_init,
                 initargs=(check_ids, coeffs)) as pool:
             results = pool.map(_pool_run, instances, chunksize=64)
-            for K, outcomes in zip(instances, results):
+            for outcomes, has_torsion in results:
                 report.complexes += 1
-                if track_torsion and _has_torsion(K):
+                if has_torsion:
                     report.torsion_sightings += 1
                 for o in outcomes:
                     report.record(o)

@@ -1,11 +1,15 @@
 """Brute-force reference implementations used to cross-check the library.
 
 Everything in this module recomputes answers from first principles
-(subset enumeration, set-based GF(2) elimination) without calling into
-the package, so a library bug cannot hide inside its own oracle.
+(subset enumeration, set-based GF(2) elimination, exact elimination
+over Q and GF(p)) without calling into the package, so a library bug
+cannot hide inside its own oracle.  Package objects passed in are only
+read for their facets and characteristic.
 Vertices are 1-based everywhere, matching the package convention.
 """
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 
@@ -163,3 +167,63 @@ def gf2_reduced_betti(n, facets):
         f_i = len(by_dim.get(i, []))
         betti[i] = f_i - boundary_rank(i) - boundary_rank(i + 1)
     return betti
+
+
+@lru_cache(maxsize=None)
+def field_reduced_betti(faces, p=None):
+    """Reduced Betti numbers of a frozenset of faces over GF(p), or over
+    the rationals when p is None, as a dict degree -> betti.
+
+    Columns are eliminated one at a time against pivots keyed by their
+    largest row face, with exact Fraction or mod-p arithmetic.
+    """
+    by_dim = {}
+    for f in faces:
+        by_dim.setdefault(len(f) - 1, []).append(f)
+
+    def boundary_rank(i):
+        pivots = {}
+        for f in by_dim.get(i, []):
+            col = {f[:j] + f[j + 1:]: (-1) ** j for j in range(len(f))}
+            while col:
+                lead = max(col)
+                if lead not in pivots:
+                    pivots[lead] = col
+                    break
+                piv = pivots[lead]
+                if p is None:
+                    factor = Fraction(col[lead]) / piv[lead]
+                else:
+                    factor = col[lead] * pow(piv[lead], p - 2, p)
+                for face, x in piv.items():
+                    y = col.get(face, 0) - factor * x
+                    if p is not None:
+                        y %= p
+                    if y:
+                        col[face] = y
+                    else:
+                        col.pop(face, None)
+        return len(pivots)
+
+    return {i: len(by_dim[i]) - boundary_rank(i) - boundary_rank(i + 1)
+            for i in by_dim}
+
+
+def reisner_cohen_macaulay(K, coeff):
+    """Reisner's criterion: the face ring of K is Cohen-Macaulay over the
+    field `coeff` exactly when every face's link, the empty face
+    included, has zero reduced homology strictly below the link's own
+    dimension.  Reads only the facets of K and the characteristic."""
+    if not K.facets:
+        raise ValueError("the void complex has no face ring")
+    if not coeff.is_field:
+        raise ValueError("the link criterion needs field coefficients")
+    faces = face_set(K.n, K.facets)
+    for F in faces:
+        lk = frozenset(tuple(v for v in G if v not in F)
+                       for G in faces if is_subface(F, G))
+        top = max(len(G) for G in lk) - 1
+        betti = field_reduced_betti(lk, coeff.p)
+        if any(betti[j] for j in range(-1, top)):
+            return False
+    return True

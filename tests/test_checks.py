@@ -11,6 +11,7 @@ from spectral_delta import (
     full_simplex,
     make_complex,
 )
+from spectral_delta import checks
 from spectral_delta.checks import (
     CHECK_IDS,
     CheckOutcome,
@@ -244,6 +245,29 @@ def test_sweep_parallel_matches_serial():
     parallel = sweep(3, coeffs=(Q,), check_ids=("nerve", "few_facets"),
                      threads=2)
     assert serial.body_json() == parallel.body_json()
+
+
+@pytest.mark.parametrize("args", [
+    dict(n=4),
+    dict(n=7, mode="random", seed=1, count=60),
+])
+def test_sweep_bodies_match_across_worker_counts(args, monkeypatch):
+    # integer coefficients switch on the torsion tally, which the
+    # parallel branch takes from the workers
+    monkeypatch.delenv("SPECTRAL_DELTA_THREADS", raising=False)
+    coeffs = (Z, Q, F2)
+    serial = sweep(**args, coeffs=coeffs, threads=1)
+    parallel = sweep(**args, coeffs=coeffs, threads=2)
+    assert serial.body_json() == parallel.body_json()
+
+
+def test_worker_reports_torsion_with_its_outcomes(rp2, monkeypatch):
+    coeffs = (Z, Q)
+    monkeypatch.setattr(checks, "_WORKER_ARGS", (CHECK_IDS, coeffs))
+    assert checks._pool_run(rp2) == (run_instance(rp2, CHECK_IDS, coeffs),
+                                     True)
+    monkeypatch.setattr(checks, "_WORKER_ARGS", (CHECK_IDS, (Q,)))
+    assert checks._pool_run(rp2)[1] is False
 
 
 def test_sweep_validates_arguments():

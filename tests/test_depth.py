@@ -1,7 +1,9 @@
-"""Depth via the subset-restriction Betti table, plus the link oracle."""
+"""Depth via the face-link walk, the subset-restriction Betti table as
+its second route, and the Reisner oracle."""
 
 import pytest
 
+from oracles import reisner_cohen_macaulay
 from spectral_delta import (
     FieldSpec,
     Q,
@@ -9,11 +11,10 @@ from spectral_delta import (
     depth,
     full_simplex,
     hochster_betti_table,
-    is_cohen_macaulay_reisner,
     make_complex,
     restriction,
 )
-from spectral_delta.checks import enumerate_complexes
+from spectral_delta.checks import enumerate_complexes, random_complexes
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -61,15 +62,18 @@ def test_table_entries_depend_only_on_the_restriction():
 
 
 def test_table_rejects_bad_inputs(hollow_triangle):
-    with pytest.raises(ValueError):
-        hochster_betti_table(make_complex(2, []), Q)
-    with pytest.raises(ValueError):
-        hochster_betti_table(hollow_triangle, Z)
-    with pytest.raises(ValueError):
-        hochster_betti_table(full_simplex(17), Q)
+    # both routes refuse the same inputs
+    for route in (hochster_betti_table, depth):
+        with pytest.raises(ValueError):
+            route(make_complex(2, []), Q)
+        with pytest.raises(ValueError):
+            route(hollow_triangle, Z)
+        with pytest.raises(ValueError, match="exceeds the cap of 16"):
+            route(full_simplex(17), Q)
     # explicit cap raise goes through
     t = hochster_betti_table(full_simplex(17), Q, max_n=17)
     assert t.max_degree() == 0
+    assert depth(full_simplex(17), Q, max_n=17).depth == 17
 
 
 def test_table_json_layout(two_points):
@@ -140,23 +144,23 @@ def test_depth_equal_across_fields_without_torsion():
 
 
 def test_reisner_oracle_on_rp2(rp2):
-    assert is_cohen_macaulay_reisner(rp2, Q)
-    assert not is_cohen_macaulay_reisner(rp2, F2)
-    assert is_cohen_macaulay_reisner(rp2, F3)
+    assert reisner_cohen_macaulay(rp2, Q)
+    assert not reisner_cohen_macaulay(rp2, F2)
+    assert reisner_cohen_macaulay(rp2, F3)
 
 
 def test_reisner_oracle_trivial_cases(hollow_triangle, irrelevant2):
-    assert is_cohen_macaulay_reisner(full_simplex(3), Q)
-    assert is_cohen_macaulay_reisner(hollow_triangle, Q)
-    assert is_cohen_macaulay_reisner(irrelevant2, Q)
-    assert not is_cohen_macaulay_reisner(make_complex(4, [(1, 2), (3, 4)]), Q)
+    assert reisner_cohen_macaulay(full_simplex(3), Q)
+    assert reisner_cohen_macaulay(hollow_triangle, Q)
+    assert reisner_cohen_macaulay(irrelevant2, Q)
+    assert not reisner_cohen_macaulay(make_complex(4, [(1, 2), (3, 4)]), Q)
 
 
 def test_reisner_oracle_validates_input():
     with pytest.raises(ValueError):
-        is_cohen_macaulay_reisner(make_complex(2, []), Q)
+        reisner_cohen_macaulay(make_complex(2, []), Q)
     with pytest.raises(ValueError):
-        is_cohen_macaulay_reisner(full_simplex(2), Z)
+        reisner_cohen_macaulay(full_simplex(2), Z)
 
 
 def test_oracles_agree_on_small_corpus():
@@ -165,4 +169,14 @@ def test_oracles_agree_on_small_corpus():
         for K in enumerate_complexes(n):
             for F in (Q, F2):
                 assert depth(K, F).cohen_macaulay \
-                    == is_cohen_macaulay_reisner(K, F), (K.facets, F.label)
+                    == reisner_cohen_macaulay(K, F), (K.facets, F.label)
+
+
+def test_link_walk_matches_the_betti_table_beyond_five_vertices(rp2):
+    # n = 8 complexes and the projective plane, whose depth depends on
+    # the characteristic; the n <= 5 corpus is covered by acceptance 10
+    for K in random_complexes(8, seed=1, count=60) + [rp2]:
+        for F in (Q, F2, F3):
+            assert depth(K, F).depth \
+                == K.n - hochster_betti_table(K, F).max_degree(), \
+                (K.facets, F.label)
