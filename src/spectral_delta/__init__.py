@@ -33,8 +33,6 @@ from .homology import (
     Z,
     boundary_matrix,
     reduced_homology,
-    reduced_homology_field,
-    reduced_homology_z,
     relative_homology,
 )
 from .stanley_reisner import (
@@ -76,7 +74,7 @@ __all__ = [
     "hochster_betti_table", "link",
     "make_complex", "minimal_nonfaces", "minimal_primes", "nerve",
     "nerve_of_facets", "random_complexes", "reduced_euler_characteristic",
-    "reduced_homology", "reduced_homology_field", "reduced_homology_z",
-    "relative_homology", "restriction", "rp2_complex", "rp2_self_check",
-    "run_instance", "smith_normal_form", "sr_generators", "sweep",
+    "reduced_homology", "relative_homology", "restriction", "rp2_complex",
+    "rp2_self_check", "run_instance", "smith_normal_form", "sr_generators",
+    "sweep",
 ]

@@ -20,7 +20,9 @@ import json
 import os
 import random
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .complexes import (
@@ -453,19 +455,11 @@ def resolve_threads(explicit: int | None = None) -> int:
     return explicit or 1
 
 
-_WORKER_ARGS: tuple | None = None
-
-
-def _pool_init(check_ids, coeffs):
-    global _WORKER_ARGS
-    _WORKER_ARGS = (check_ids, coeffs)
-
-
-def _pool_run(K: SimplicialComplex) -> tuple[list[CheckOutcome], bool]:
+def _run_one(K: SimplicialComplex, check_ids: Sequence[str],
+             coeffs: Sequence[FieldSpec]) -> tuple[list[CheckOutcome], bool]:
     """Outcomes for one complex, plus whether it shows integral torsion
     when the sweep tracks it.  The checks have usually cached the
-    integral homology by then, so the flag costs the worker little."""
-    check_ids, coeffs = _WORKER_ARGS
+    integral homology by then, so the flag costs little."""
     outcomes = run_instance(K, check_ids, coeffs)
     track_torsion = any(not c.is_field for c in coeffs)
     return outcomes, track_torsion and _has_torsion(K)
@@ -505,26 +499,19 @@ def sweep(n: int, mode: str = "exhaustive", seed: int | None = None,
                          tuple(c.label for c in coeffs), check_ids)
     start = time.monotonic()
     workers = resolve_threads(threads)
-    track_torsion = any(not c.is_field for c in coeffs)
-
-    if workers > 1 and len(instances) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-                max_workers=workers, initializer=_pool_init,
-                initargs=(check_ids, coeffs)) as pool:
-            results = pool.map(_pool_run, instances, chunksize=64)
-            for outcomes, has_torsion in results:
-                report.complexes += 1
-                if has_torsion:
-                    report.torsion_sightings += 1
-                for o in outcomes:
-                    report.record(o)
-    else:
-        for K in instances:
+    run = partial(_run_one, check_ids=check_ids, coeffs=coeffs)
+    with ExitStack() as stack:
+        results = map(run, instances)
+        if workers > 1 and len(instances) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(run, instances, chunksize=64)
+        for outcomes, has_torsion in results:
             report.complexes += 1
-            if track_torsion and _has_torsion(K):
+            if has_torsion:
                 report.torsion_sightings += 1
-            for o in run_instance(K, check_ids, coeffs):
+            for o in outcomes:
                 report.record(o)
     report.elapsed = time.monotonic() - start
     return report

@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="q",
                    help="field coefficients: q, f2, f3 or fp:<prime>")
     p.add_argument("--max-n", type=int, default=DEFAULT_VERTEX_CAP,
-                   help="vertex cap for the 2**n subset walk")
+                   help="refuse complexes on more vertices than this")
     add_json(p)
     p.set_defaults(run=cmd_depth)
 

@@ -1,6 +1,7 @@
-"""Reduced simplicial homology with exact coefficients.
+"""Reduced and relative simplicial homology with exact coefficients.
 
-The chain complex is augmented: degree -1 is spanned by the empty face,
+Both come from one chain-complex kernel.  For reduced homology the
+chain complex is augmented: degree -1 is spanned by the empty face,
 so the irrelevant complex has one nonzero group, in degree -1.  Integer
 homology reports free rank plus elementary divisors (torsion); field
 homology reports Betti dimensions computed by exact rank over Q or F_p,
@@ -11,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .complexes import NONEMPTY, SimplicialComplex
+from .complexes import NONEMPTY, Simplex, SimplicialComplex
 from .linalg import IntMatrix, mod_p_rank, rational_rank, snf_diagonal
 
 _MAX_PRIME = 1 << 31
@@ -173,65 +174,63 @@ def boundary_matrix(K: SimplicialComplex, i: int) -> IntMatrix:
     """
     if i < -1 or i > K.dimension + 1:
         return IntMatrix(0, 0)
-    return IntMatrix.from_rows(_boundary_rows(K, i)) if K.faces_of_dim(i - 1) \
-        else IntMatrix(0, len(K.faces_of_dim(i)))
+    lower, upper = K.faces_of_dim(i - 1), K.faces_of_dim(i)
+    return IntMatrix(len(lower), len(upper), _boundary_rows(lower, upper))
 
 
-def _boundary_rows(K: SimplicialComplex, i: int) -> list[list[int]]:
-    lower = K.faces_of_dim(i - 1)
-    upper = K.faces_of_dim(i)
+def _boundary_rows(lower: Sequence[Simplex],
+                   upper: Sequence[Simplex]) -> list[list[int]]:
+    """Boundary rows from the `upper` faces to the `lower` ones; a face
+    missing from `lower` (one of the subcomplex, in a quotient) gets no
+    row."""
     index = {f: r for r, f in enumerate(lower)}
     rows = [[0] * len(upper) for _ in lower]
     for c, f in enumerate(upper):
         sign = 1
         for j in range(len(f)):
-            rows[index[f[:j] + f[j + 1:]]][c] = sign
+            r = index.get(f[:j] + f[j + 1:])
+            if r is not None:
+                rows[r][c] = sign
             sign = -sign
     return rows
 
 
-def _zero_profile(coeff: FieldSpec) -> HomologyProfile:
-    return HomologyProfile(coeff, ())
+def _homology(basis: Mapping[int, Sequence[Simplex]],
+              coeff: FieldSpec) -> HomologyProfile:
+    """Homology of the chain complex spanned in degree i by basis[i], an
+    ordered face list, with the simplicial boundary.  Integer
+    coefficients give Smith divisors, fields exact ranks."""
+    ranks: dict[int, int] = {}
+    torsion: dict[int, tuple[int, ...]] = {}
+    for i, upper in basis.items():
+        lower = basis.get(i - 1)
+        if not lower or not upper:
+            continue
+        rows, m, n = _boundary_rows(lower, upper), len(lower), len(upper)
+        if coeff.tag == "integers":
+            divisors = snf_diagonal(rows, m, n)
+            ranks[i] = len(divisors)
+            torsion[i - 1] = tuple(d for d in divisors if d > 1)
+        elif coeff.tag == "rationals":
+            ranks[i] = rational_rank(rows, m, n)
+        else:
+            ranks[i] = mod_p_rank(rows, m, n, coeff.p)
+    groups = {i: (len(faces) - ranks.get(i, 0) - ranks.get(i + 1, 0),
+                  torsion.get(i, ()))
+              for i, faces in basis.items()}
+    return HomologyProfile.from_groups(coeff, groups)
 
 
 @lru_cache(maxsize=1 << 17)
 def _reduced_cached(K: SimplicialComplex, coeff: FieldSpec) -> HomologyProfile:
     if K.is_void:
-        return _zero_profile(coeff)
+        return HomologyProfile(coeff)
     if K.kind == NONEMPTY and K.is_cone:
         # a vertex common to all facets makes the complex a cone, which is
         # contractible: every reduced group vanishes
-        return _zero_profile(coeff)
-    top = K.dimension
-    counts = {i: len(K.faces_of_dim(i)) for i in range(-1, top + 2)}
-    if coeff.tag == "integers":
-        divisors = {}
-        for i in range(-1, top + 2):
-            m, n = counts.get(i - 1, 0), counts.get(i, 0)
-            if m == 0 or n == 0:
-                divisors[i] = []
-            else:
-                divisors[i] = snf_diagonal(_boundary_rows(K, i), m, n)
-        groups = {}
-        for i in range(-1, top + 1):
-            rank_i = len(divisors[i])
-            rank_up = len(divisors[i + 1])
-            free = counts[i] - rank_i - rank_up
-            torsion = tuple(d for d in divisors[i + 1] if d > 1)
-            groups[i] = (free, torsion)
-        return HomologyProfile.from_groups(coeff, groups)
-    ranks = {}
-    for i in range(-1, top + 2):
-        m, n = counts.get(i - 1, 0), counts.get(i, 0)
-        if m == 0 or n == 0:
-            ranks[i] = 0
-        elif coeff.tag == "rationals":
-            ranks[i] = rational_rank(_boundary_rows(K, i), m, n)
-        else:
-            ranks[i] = mod_p_rank(_boundary_rows(K, i), m, n, coeff.p)
-    groups = {i: (counts[i] - ranks[i] - ranks[i + 1], ())
-              for i in range(-1, top + 1)}
-    return HomologyProfile.from_groups(coeff, groups)
+        return HomologyProfile(coeff)
+    return _homology({i: K.faces_of_dim(i)
+                      for i in range(-1, K.dimension + 1)}, coeff)
 
 
 def reduced_homology(K: SimplicialComplex, coeff: FieldSpec) -> HomologyProfile:
@@ -242,16 +241,6 @@ def reduced_homology(K: SimplicialComplex, coeff: FieldSpec) -> HomologyProfile:
     if not isinstance(coeff, FieldSpec):
         raise TypeError("coefficients must be a FieldSpec")
     return _reduced_cached(K, coeff)
-
-
-def reduced_homology_z(K: SimplicialComplex) -> HomologyProfile:
-    return reduced_homology(K, Z)
-
-
-def reduced_homology_field(K: SimplicialComplex, coeff: FieldSpec) -> HomologyProfile:
-    if not coeff.is_field:
-        raise ValueError("use reduced_homology_z for integer coefficients")
-    return reduced_homology(K, coeff)
 
 
 def relative_homology(L: SimplicialComplex, K: SimplicialComplex,
@@ -269,49 +258,5 @@ def relative_homology(L: SimplicialComplex, K: SimplicialComplex,
     for f in K.facets:
         if f and not L.is_face(f):
             raise ValueError(f"{f} is a facet of K but not a face of L")
-    top = L.dimension
-    basis = {}
-    index = {}
-    for i in range(0, top + 1):
-        faces = [f for f in L.faces_of_dim(i) if not K.is_face(f)]
-        basis[i] = faces
-        index[i] = {f: r for r, f in enumerate(faces)}
-    basis[-1] = []
-
-    def quotient_boundary(i):
-        lower, upper = basis[i - 1], basis[i]
-        rows = [[0] * len(upper) for _ in lower]
-        idx = index.get(i - 1, {})
-        for c, f in enumerate(upper):
-            sign = 1
-            for j in range(len(f)):
-                sub = f[:j] + f[j + 1:]
-                r = idx.get(sub)
-                if r is not None:
-                    rows[r][c] = sign
-                sign = -sign
-        return rows
-
-    groups = {}
-    ranks = {}
-    divisors = {}
-    for i in range(0, top + 2):
-        m = len(basis.get(i - 1, []))
-        n = len(basis.get(i, []))
-        if m == 0 or n == 0:
-            ranks[i] = 0
-            divisors[i] = []
-        elif coeff.tag == "integers":
-            divisors[i] = snf_diagonal(quotient_boundary(i), m, n)
-            ranks[i] = len(divisors[i])
-        elif coeff.tag == "rationals":
-            ranks[i] = rational_rank(quotient_boundary(i), m, n)
-            divisors[i] = []
-        else:
-            ranks[i] = mod_p_rank(quotient_boundary(i), m, n, coeff.p)
-            divisors[i] = []
-    for i in range(0, top + 1):
-        free = len(basis[i]) - ranks[i] - ranks[i + 1]
-        torsion = tuple(d for d in divisors[i + 1] if d > 1)
-        groups[i] = (free, torsion)
-    return HomologyProfile.from_groups(coeff, groups)
+    return _homology({i: [f for f in L.faces_of_dim(i) if not K.is_face(f)]
+                      for i in range(0, L.dimension + 1)}, coeff)

@@ -57,11 +57,6 @@ class IntMatrix:
             out.data[i] = [sum(a * b for a, b in zip(row, col)) for col in ot]
         return out
 
-    def transpose(self) -> "IntMatrix":
-        flipped = [[self.data[r][c] for r in range(self.rows)]
-                   for c in range(self.cols)]
-        return IntMatrix(self.cols, self.rows, flipped)
-
     def diagonal(self) -> list[int]:
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
 
@@ -72,12 +67,6 @@ class IntMatrix:
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
         return _bareiss_det([row[:] for row in self.data])
-
-    def to_text(self) -> str:
-        """Row-major debug rendering, one space-separated line per row."""
-        if self.rows == 0 or self.cols == 0:
-            return f"({self.rows}x{self.cols} empty)"
-        return "\n".join(" ".join(str(x) for x in row) for row in self.data)
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"

@@ -261,13 +261,11 @@ def test_sweep_bodies_match_across_worker_counts(args, monkeypatch):
     assert serial.body_json() == parallel.body_json()
 
 
-def test_worker_reports_torsion_with_its_outcomes(rp2, monkeypatch):
+def test_worker_reports_torsion_with_its_outcomes(rp2):
     coeffs = (Z, Q)
-    monkeypatch.setattr(checks, "_WORKER_ARGS", (CHECK_IDS, coeffs))
-    assert checks._pool_run(rp2) == (run_instance(rp2, CHECK_IDS, coeffs),
-                                     True)
-    monkeypatch.setattr(checks, "_WORKER_ARGS", (CHECK_IDS, (Q,)))
-    assert checks._pool_run(rp2)[1] is False
+    assert checks._run_one(rp2, CHECK_IDS, coeffs) == (
+        run_instance(rp2, CHECK_IDS, coeffs), True)
+    assert checks._run_one(rp2, CHECK_IDS, (Q,))[1] is False
 
 
 def test_sweep_validates_arguments():
