@@ -2,10 +2,13 @@
 
 Both come from one chain-complex kernel.  For reduced homology the
 chain complex is augmented: degree -1 is spanned by the empty face,
-so the irrelevant complex has one nonzero group, in degree -1.  Integer
-homology reports free rank plus elementary divisors (torsion); field
-homology reports Betti dimensions computed by exact rank over Q or F_p,
-never by reduction of the integral answer.
+so the irrelevant complex has one nonzero group, in degree -1.  Each
+boundary map is built as sparse columns and first has its +-1 pivots
+cleared by unimodular column operations; only the leftover goes to a
+dense kernel.  Integer homology reports free rank plus elementary
+divisors (torsion) from Smith form; field homology reports Betti
+dimensions computed by exact rank over Q (Bareiss) or F_p (modular
+elimination), never by reduction of the integral answer.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import NONEMPTY, Simplex, SimplicialComplex
-from .linalg import IntMatrix, mod_p_rank, rational_rank, snf_diagonal
+from .linalg import (IntMatrix, _eliminate_unit_pivots, mod_p_rank,
+                     rational_rank, snf_diagonal)
 
 _MAX_PRIME = 1 << 31
 
@@ -175,46 +179,57 @@ def boundary_matrix(K: SimplicialComplex, i: int) -> IntMatrix:
     if i < -1 or i > K.dimension + 1:
         return IntMatrix(0, 0)
     lower, upper = K.faces_of_dim(i - 1), K.faces_of_dim(i)
-    return IntMatrix(len(lower), len(upper), _boundary_rows(lower, upper))
-
-
-def _boundary_rows(lower: Sequence[Simplex],
-                   upper: Sequence[Simplex]) -> list[list[int]]:
-    """Boundary rows from the `upper` faces to the `lower` ones; a face
-    missing from `lower` (one of the subcomplex, in a quotient) gets no
-    row."""
-    index = {f: r for r, f in enumerate(lower)}
     rows = [[0] * len(upper) for _ in lower]
-    for c, f in enumerate(upper):
+    for c, col in enumerate(_boundary_columns(lower, upper)):
+        for r, x in col.items():
+            rows[r][c] = x
+    return IntMatrix(len(lower), len(upper), rows)
+
+
+def _boundary_columns(lower: Sequence[Simplex],
+                      upper: Sequence[Simplex]) -> list[dict[int, int]]:
+    """Sparse boundary columns `{row: sign}`, one per `upper` face, with
+    rows indexed by `lower`; a face missing from `lower` (one of the
+    subcomplex, in a quotient) gets no entry."""
+    index = {f: r for r, f in enumerate(lower)}
+    cols = []
+    for f in upper:
+        col = {}
         sign = 1
         for j in range(len(f)):
             r = index.get(f[:j] + f[j + 1:])
             if r is not None:
-                rows[r][c] = sign
+                col[r] = sign
             sign = -sign
-    return rows
+        cols.append(col)
+    return cols
 
 
 def _homology(basis: Mapping[int, Sequence[Simplex]],
               coeff: FieldSpec) -> HomologyProfile:
     """Homology of the chain complex spanned in degree i by basis[i], an
-    ordered face list, with the simplicial boundary.  Integer
-    coefficients give Smith divisors, fields exact ranks."""
+    ordered face list, with the simplicial boundary.  Each boundary map
+    first has its +-1 pivots cleared sparsely; the dense kernel (Smith
+    divisors over Z, exact rank over a field) sees only what is left."""
     ranks: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
     for i, upper in basis.items():
         lower = basis.get(i - 1)
         if not lower or not upper:
             continue
-        rows, m, n = _boundary_rows(lower, upper), len(lower), len(upper)
+        pivots, rest = _eliminate_unit_pivots(_boundary_columns(lower, upper))
+        ranks[i] = pivots
+        if not rest:
+            continue
+        m, n = len(rest), len(rest[0])
         if coeff.tag == "integers":
-            divisors = snf_diagonal(rows, m, n)
-            ranks[i] = len(divisors)
+            divisors = snf_diagonal(rest, m, n)
+            ranks[i] += len(divisors)
             torsion[i - 1] = tuple(d for d in divisors if d > 1)
         elif coeff.tag == "rationals":
-            ranks[i] = rational_rank(rows, m, n)
+            ranks[i] += rational_rank(rest, m, n)
         else:
-            ranks[i] = mod_p_rank(rows, m, n, coeff.p)
+            ranks[i] += mod_p_rank(rest, m, n, coeff.p)
     groups = {i: (len(faces) - ranks.get(i, 0) - ranks.get(i + 1, 0),
                   torsion.get(i, ()))
               for i, faces in basis.items()}

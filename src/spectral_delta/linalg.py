@@ -4,13 +4,17 @@ Matrices hold arbitrary-precision Python ints; nothing here ever rounds.
 The Smith reduction uses minimum-absolute-value pivoting with explicit
 remainder handling, tracking unimodular row and column transforms when
 requested.  Rational ranks come from fraction-free (Bareiss) elimination,
-prime-field ranks from ordinary modular elimination.
+prime-field ranks from ordinary modular elimination.  Sparse matrices
+with many +-1 entries, such as simplicial boundary maps, can first have
+their unit pivots cleared by `_eliminate_unit_pivots`, leaving the dense
+kernels only the remainder.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 
 class IntMatrix:
@@ -305,3 +309,86 @@ def mod_p_rank(data: Sequence[Sequence[int]], m: int, n: int, p: int) -> int:
         rank += 1
         row += 1
     return rank
+
+
+def _eliminate_unit_pivots(cols: Sequence[Mapping[int, int]]
+                           ) -> tuple[int, list[list[int]]]:
+    """Clear the +-1 pivots of a sparse integer matrix.
+
+    `cols` lists the columns as `{row: entry}` maps.  Each step takes the
+    shortest column that still holds a +-1 entry and, within it, the +-1
+    entry whose row has the fewest entries (ties go to the lower index),
+    clears that row with integer column operations, then drops the row
+    and the column.  Every operation is unimodular over Z, so the Smith
+    divisors of the matrix are `pivots` ones followed by those of the
+    leftover, and its rank over Q or any F_p is `pivots` plus the rank
+    of the leftover.
+
+    Returns `(pivots, leftover)`: the leftover holds only its nonzero
+    rows and columns, as dense rows in index order, and is `[]` when
+    nothing is left.  `cols` is not modified.
+    """
+    cols = [dict(col) for col in cols]
+    rows: dict[int, set[int]] = {}   # row -> the columns with an entry there
+    for c, col in enumerate(cols):
+        for r in col:
+            members = rows.get(r)
+            if members is None:
+                rows[r] = {c}
+            else:
+                members.add(c)
+    # (length, index) entries; a column changed by a step is pushed
+    # again, and an entry whose length is no longer current is skipped
+    heap = [(len(col), c) for c, col in enumerate(cols) if col]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    pivots = 0
+    while heap:
+        size, c = pop(heap)
+        col = cols[c]
+        if len(col) != size:
+            continue
+        r = None
+        for u, x in col.items():
+            if x == 1 or x == -1:
+                k = len(rows[u])
+                if r is None or k < best or (k == best and u < r):
+                    r, best = u, k
+        if r is None:
+            continue
+        # subtracting q * column c from every other column with an entry
+        # in row r clears that row; the rest of column c would then be
+        # cleared by row operations that touch nothing else, so column c
+        # leaves with row r
+        sign = col.pop(r)
+        cols[c] = {}
+        for r2 in col:
+            rows[r2].discard(c)
+        members = rows.pop(r)
+        members.discard(c)
+        for c2 in members:
+            col2 = cols[c2]
+            q = col2.pop(r) * sign
+            for r2, x in col.items():
+                old = col2.get(r2)
+                if old is None:
+                    col2[r2] = -q * x
+                    rows[r2].add(c2)
+                elif old == q * x:
+                    del col2[r2]
+                    rows[r2].discard(c2)
+                else:
+                    col2[r2] = old - q * x
+            if col2:
+                push(heap, (len(col2), c2))
+        pivots += 1
+    live_rows = sorted(r for r, members in rows.items() if members)
+    live_cols = [col for col in cols if col]
+    if not live_cols:
+        return pivots, []
+    index = {r: i for i, r in enumerate(live_rows)}
+    leftover = [[0] * len(live_cols) for _ in live_rows]
+    for j, col in enumerate(live_cols):
+        for r, x in col.items():
+            leftover[index[r]][j] = x
+    return pivots, leftover

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spectral_delta
 from spectral_delta.cli import main
 from spectral_delta.fixtures import rp2_complex
 from spectral_delta.serialize import render_complex_text
@@ -237,3 +242,26 @@ def test_notices_go_to_stderr(capsys, tmp_path):
     p.write_text("n 2\nfacet 1 1 2\n")
     code, out, err = run(capsys, "homology", str(p))
     assert code == 0 and err.startswith("notice:") and "merged" in err
+
+
+@pytest.mark.parametrize("field,label", [("z", "Z"), ("q", "Q"),
+                                         ("f2", "F2")])
+def test_homology_of_two_disjoint_large_facets_finishes(tmp_path, field,
+                                                        label):
+    # 92 bytes, but 32,766 faces and boundary maps of up to 6,864
+    # columns; the dense kernels alone did not finish in a minute.  Run
+    # as a child process, so that a regression fails on the timeout
+    # instead of hanging the suite.
+    p = tmp_path / "two_facets.cplx"
+    p.write_text("n 28\nfacet " + " ".join(map(str, range(1, 15)))
+                 + "\nfacet " + " ".join(map(str, range(15, 29))) + "\n")
+    src = str(Path(spectral_delta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+    done = subprocess.run(
+        [sys.executable, "-m", "spectral_delta.cli", "homology", str(p),
+         "--field", field],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ", ".join(
+        [f"H~0: {label}"] + [f"H~{i}: 0" for i in range(1, 14)])

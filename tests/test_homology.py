@@ -1,5 +1,8 @@
 """Homology engine: boundary matrices, exact groups, coefficient systems."""
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
 from spectral_delta import (
@@ -14,7 +17,10 @@ from spectral_delta import (
     relative_homology,
 )
 from spectral_delta.checks import enumerate_complexes, random_complexes
-from spectral_delta.linalg import IntMatrix
+from spectral_delta.fixtures import rp2_complex
+from spectral_delta.homology import HomologyProfile
+from spectral_delta.linalg import (IntMatrix, mod_p_rank, rational_rank,
+                                   snf_diagonal)
 
 from oracles import field_reduced_betti, gf2_reduced_betti
 
@@ -121,23 +127,66 @@ def test_rp2_homology_over_every_coefficient_system(rp2):
     assert reduced_homology(rp2, F3).is_trivial
 
 
+# Klein bottle: the 3 x 3 grid on a square, with one pair of opposite
+# sides glued straight and the other pair glued with a twist
+KLEIN_BOTTLE = [(1, 2, 5), (1, 2, 9), (1, 3, 4), (1, 3, 7), (1, 4, 5),
+                (1, 7, 9), (2, 3, 6), (2, 3, 8), (2, 5, 6), (2, 8, 9),
+                (3, 4, 6), (3, 7, 8), (4, 5, 8), (4, 6, 7), (4, 7, 8),
+                (5, 6, 9), (5, 8, 9), (6, 7, 9)]
+
+
 def test_torsion_sphere_from_klein_bottle():
-    # Klein bottle: square with identifications, 8-vertex triangulation
-    facets = [(1, 2, 5), (2, 5, 6), (2, 3, 6), (3, 6, 7), (1, 3, 7),
-              (1, 4, 7), (4, 5, 7), (5, 6, 7), (1, 4, 6), (4, 6, 8),
-              (2, 4, 8), (2, 3, 8), (3, 5, 8), (1, 3, 5), (5, 7, 8),
-              (1, 2, 4)]
-    K = make_complex(8, facets)
-    # every edge must lie in exactly two triangles for a closed surface
-    from collections import Counter
-    edge_count = Counter()
-    for f in K.facets:
-        for e in ((f[0], f[1]), (f[0], f[2]), (f[1], f[2])):
-            edge_count[e] += 1
-    assert K.dimension == 2
-    if all(v == 2 for v in edge_count.values()):
-        prof = reduced_homology(K, Z)
-        assert prof.torsion(1) == (2,)
+    K = make_complex(9, KLEIN_BOTTLE)
+    # a closed surface: every edge lies in exactly two triangles
+    edge_count = Counter(e for f in K.facets for e in combinations(f, 2))
+    assert K.dimension == 2 and set(edge_count.values()) == {2}
+    assert reduced_homology(K, Z).entries == ((1, 1, (2,)),)
+    assert reduced_homology(K, F2).entries == ((1, 2, ()), (2, 1, ()))
+    assert reduced_homology(K, Q).entries == ((1, 1, ()),)
+
+
+def _rp2_join_tetrahedron_boundary():
+    # joining with the boundary of a tetrahedron, a 2-sphere, is the
+    # triple suspension: the 2-torsion of RP^2 moves up three degrees
+    bd = list(combinations(range(7, 11), 3))
+    return make_complex(10, [f + g for f in rp2_complex().facets for g in bd])
+
+
+def _dense_reduced_homology(K, coeff):
+    """Reduced homology from the dense kernels applied to the whole
+    boundary matrices, with no sparse elimination in between."""
+    ranks, torsion = {}, {}
+    for i in range(0, K.dimension + 1):
+        d = boundary_matrix(K, i)
+        if coeff == Z:
+            divisors = snf_diagonal(d.data, d.rows, d.cols)
+            ranks[i] = len(divisors)
+            torsion[i - 1] = tuple(x for x in divisors if x > 1)
+        elif coeff == Q:
+            ranks[i] = rational_rank(d.data, d.rows, d.cols)
+        else:
+            ranks[i] = mod_p_rank(d.data, d.rows, d.cols, coeff.p)
+    groups = {i: (len(K.faces_of_dim(i)) - ranks.get(i, 0)
+                  - ranks.get(i + 1, 0), torsion.get(i, ()))
+              for i in range(-1, K.dimension + 1)}
+    return HomologyProfile.from_groups(coeff, groups)
+
+
+def test_rp2_join_keeps_its_torsion():
+    K = _rp2_join_tetrahedron_boundary()
+    assert reduced_homology(K, Z).entries == ((4, 0, (2,)),)
+    assert reduced_homology(K, F2).entries == ((4, 1, ()), (5, 1, ()))
+    assert reduced_homology(K, Q).is_trivial
+
+
+def test_sparse_route_matches_the_dense_kernels(rp2):
+    complexes = [rp2, make_complex(9, KLEIN_BOTTLE),
+                 _rp2_join_tetrahedron_boundary()]
+    complexes += random_complexes(8, 1, 40)
+    for K in complexes:
+        for coeff in (Z, Q, F2, F3):
+            assert (reduced_homology(K, coeff)
+                    == _dense_reduced_homology(K, coeff)), (K.facets, coeff)
 
 
 def test_field_homology_not_requested_from_integers():

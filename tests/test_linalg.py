@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from spectral_delta import boundary_matrix
+from spectral_delta.fixtures import rp2_complex
 from spectral_delta.linalg import (
     IntMatrix,
+    _eliminate_unit_pivots,
     mod_p_rank,
     rational_rank,
     smith_normal_form,
@@ -150,3 +153,50 @@ def test_mod_p_rank_drops_on_torsion_matrix():
     assert rational_rank(rows, 2, 2) == 2
     assert mod_p_rank(rows, 2, 2, 2) == 0
     assert mod_p_rank(rows, 2, 2, 3) == 2
+
+
+def _sparse_columns(rows, n):
+    return [{r: row[c] for r, row in enumerate(rows) if row[c]}
+            for c in range(n)]
+
+
+def _check_elimination(rows, m, n):
+    cols = _sparse_columns(rows, n)
+    pivots, rest = _eliminate_unit_pivots(cols)
+    assert cols == _sparse_columns(rows, n)  # input left as it was
+    rm, rn = len(rest), len(rest[0]) if rest else 0
+    assert all(any(row) for row in rest)
+    assert all(any(row[j] for row in rest) for j in range(rn))
+    assert [1] * pivots + snf_diagonal(rest, rm, rn) == snf_diagonal(rows, m, n)
+    assert pivots + rational_rank(rest, rm, rn) == rational_rank(rows, m, n)
+    for p in (2, 3):
+        assert (pivots + mod_p_rank(rest, rm, rn, p)
+                == mod_p_rank(rows, m, n, p))
+    return pivots, rest
+
+
+def test_unit_pivot_elimination_on_seeded_sparse_matrices():
+    rng = random.Random(17)
+    for _ in range(300):
+        m = rng.randint(0, 8)
+        n = rng.randint(0, 8)
+        rows = [[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.3
+                 else 0 for _ in range(n)] for _ in range(m)]
+        _check_elimination(rows, m, n)
+
+
+def test_unit_pivot_elimination_keeps_a_matrix_without_units():
+    assert _check_elimination([[2, 0], [0, 2]], 2, 2) == (0, [[2, 0], [0, 2]])
+    assert _check_elimination([[0, 0, 0]], 1, 3) == (0, [])
+    assert _eliminate_unit_pivots([]) == (0, [])
+
+
+def test_unit_pivot_elimination_on_rp2_boundaries():
+    K = rp2_complex()
+    results = [_check_elimination(d.data, d.rows, d.cols)
+               for d in (boundary_matrix(K, i) for i in range(3))]
+    # every invariant factor is 1 but the last one of d2, the 2 that
+    # gives H1 its torsion; only that one is left for the dense kernel
+    assert [pivots for pivots, _ in results] == [1, 5, 9]
+    rest = results[2][1]
+    assert snf_diagonal(rest, len(rest), len(rest[0])) == [2]
