@@ -27,8 +27,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .complexes import (
     SimplicialComplex,
+    _from_masks,
+    _maximal,
     alexander_dual,
-    make_complex,
 )
 from .depth import depth
 from .homology import FieldSpec, Q, Z, reduced_homology
@@ -56,7 +57,7 @@ def enumerate_complexes(n: int) -> Iterator[SimplicialComplex]:
         raise ValueError(
             f"exhaustive enumeration is capped at n = {EXHAUSTIVE_LIMIT}; "
             "use random_complexes for larger vertex sets")
-    yield SimplicialComplex(n, ((),))
+    yield _from_masks(n, [0])
 
     subsets = sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m))
     total = len(subsets)
@@ -72,17 +73,13 @@ def enumerate_complexes(n: int) -> Iterator[SimplicialComplex]:
             b ^= low
         return True
 
-    def emit() -> SimplicialComplex:
-        facets = [m for m in chosen
-                  if not any((m | (1 << v)) in chosen
-                             for v in range(n) if not m >> v & 1)]
-        faces = [tuple(v + 1 for v in range(n) if m >> v & 1) for m in facets]
-        return make_complex(n, faces)
-
     def walk(idx: int) -> Iterator[SimplicialComplex]:
         if idx == total:
             if chosen:
-                yield emit()
+                yield _from_masks(n, [m for m in chosen
+                                      if not any((m | (1 << v)) in chosen
+                                                 for v in range(n)
+                                                 if not m >> v & 1)])
             return
         m = subsets[idx]
         yield from walk(idx + 1)
@@ -102,11 +99,9 @@ def random_complexes(n: int, seed: int, count: int) -> list[SimplicialComplex]:
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        facets = []
-        for _ in range(rng.randint(1, n + 2)):
-            m = rng.randrange(1, 1 << n)
-            facets.append(tuple(v + 1 for v in range(n) if m >> v & 1))
-        out.append(make_complex(n, facets))
+        masks = [rng.randrange(1, 1 << n)
+                 for _ in range(rng.randint(1, n + 2))]
+        out.append(_from_masks(n, _maximal(masks)))
     return out
 
 

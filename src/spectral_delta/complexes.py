@@ -11,6 +11,9 @@ kinds are distinguished:
 
 Vertices of the ambient set that appear in no face are permitted.  All
 operations are pure; complexes are immutable, hashable and comparable.
+
+Derived complexes (links, restrictions, duals, nerves) are built from
+facet bitmasks; validation runs on outside input only.
 """
 
 from __future__ import annotations
@@ -58,6 +61,29 @@ def _unmask(m: int) -> Simplex:
     return tuple(out)
 
 
+def _pack(m: int, keep: Simplex) -> int:
+    """Mask m relabeled order-preservingly onto the vertices in keep."""
+    return sum(1 << i for i, v in enumerate(keep) if m >> (v - 1) & 1)
+
+
+def _maximal(masks: Iterable[int]) -> list[int]:
+    """The inclusion-maximal masks, each once."""
+    keep: list[int] = []
+    # a mask can only lie inside one with more bits, which comes earlier
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if not any(m | k == k for k in keep):
+            keep.append(m)
+    return keep
+
+
+def _from_masks(n: int, masks: Iterable[int]) -> SimplicialComplex:
+    """Complex on 1..n with the antichain `masks` as facets, unvalidated."""
+    K = object.__new__(SimplicialComplex)
+    object.__setattr__(K, "n", n)
+    object.__setattr__(K, "facets", tuple(sorted(map(_unmask, masks))))
+    return K
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     n: int
@@ -73,10 +99,8 @@ class SimplicialComplex:
             if f and (f[0] < 1 or f[-1] > self.n):
                 raise ValueError(f"facet {f} outside ambient set 1..{self.n}")
             masks.append(_mask(f))
-        for i, a in enumerate(masks):
-            for j, b in enumerate(masks):
-                if i != j and a | b == b:
-                    raise ValueError("facets must form an antichain")
+        if len(_maximal(masks)) != len(masks):
+            raise ValueError("facets must form an antichain")
         if list(self.facets) != sorted(self.facets):
             raise ValueError("facets must be sorted lexicographically")
 
@@ -105,9 +129,7 @@ class SimplicialComplex:
 
     @property
     def is_full_simplex(self) -> bool:
-        if self.n == 0:
-            return self.facets == ((),)
-        return self.facets == (tuple(range(1, self.n + 1)),)
+        return self.facet_masks == ((1 << self.n) - 1,)
 
     @cached_property
     def facet_masks(self) -> tuple[int, ...]:
@@ -137,8 +159,7 @@ class SimplicialComplex:
         f = clean_face(face)
         if f and (f[0] < 1 or f[-1] > self.n):
             raise ValueError(f"face {f} outside ambient set 1..{self.n}")
-        m = _mask(f)
-        return any(m | fm == fm for fm in self.facet_masks)
+        return self._is_face_mask(_mask(f))
 
     def _is_face_mask(self, m: int) -> bool:
         return any(m | fm == fm for fm in self.facet_masks)
@@ -180,29 +201,20 @@ def make_complex(n: int, faces: Iterable[Iterable[int]],
     """
     if n < 0:
         raise ValueError("ambient vertex count must be nonnegative")
-    norm: set[Simplex] = set()
+    masks = [0] if include_empty else []
     for f in faces:
         t = clean_face(f)
         for v in t:
             if not isinstance(v, int) or v < 1 or v > n:
                 raise ValueError(f"vertex {v!r} out of range 1..{n}")
-        norm.add(t)
-    if not norm:
-        return SimplicialComplex(n, ((),) if include_empty else ())
-    items = sorted(norm)
-    masks = [_mask(f) for f in items]
-    keep = []
-    for i, f in enumerate(items):
-        mi = masks[i]
-        if not any(i != j and mi | mj == mj for j, mj in enumerate(masks)):
-            keep.append(f)
-    return SimplicialComplex(n, tuple(keep))
+        masks.append(_mask(t))
+    return _from_masks(n, _maximal(masks))
 
 
 def full_simplex(n: int) -> SimplicialComplex:
-    if n == 0:
-        return SimplicialComplex(0, ((),))
-    return SimplicialComplex(n, (tuple(range(1, n + 1)),))
+    if n < 0:
+        raise ValueError("ambient vertex count must be nonnegative")
+    return _from_masks(n, [(1 << n) - 1])
 
 
 def restriction(K: SimplicialComplex, W: Iterable[int]) -> SimplicialComplex:
@@ -212,12 +224,7 @@ def restriction(K: SimplicialComplex, W: Iterable[int]) -> SimplicialComplex:
     for v in Wt:
         if v < 1 or v > K.n:
             raise ValueError(f"vertex {v} out of range 1..{K.n}")
-    if K.is_void:
-        return SimplicialComplex(len(Wt), ())
-    relabel = {v: i + 1 for i, v in enumerate(Wt)}
-    Wset = set(Wt)
-    traces = [tuple(relabel[v] for v in f if v in Wset) for f in K.facets]
-    return make_complex(len(Wt), traces, include_empty=True)
+    return _from_masks(len(Wt), _maximal(_pack(m, Wt) for m in K.facet_masks))
 
 
 def minimal_nonfaces(K: SimplicialComplex) -> list[Simplex]:
@@ -228,21 +235,9 @@ def minimal_nonfaces(K: SimplicialComplex) -> list[Simplex]:
     """
     if K.is_void:
         return [()]
-    out = []
-    for m in range(1, 1 << K.n):
-        if K._is_face_mask(m):
-            continue
-        sub = m
-        minimal = True
-        b = m
-        while b:
-            low = b & -b
-            if not K._is_face_mask(m ^ low):
-                minimal = False
-                break
-            b ^= low
-        if minimal:
-            out.append(_unmask(sub))
+    face = K._is_face_mask
+    out = [_unmask(m) for m in range(1, 1 << K.n) if not face(m)
+           and all(face(m ^ 1 << b) for b in range(K.n) if m >> b & 1)]
     out.sort(key=lambda f: (len(f), f))
     return out
 
@@ -257,14 +252,14 @@ def alexander_dual(K: SimplicialComplex) -> SimplicialComplex:
     if K.is_void:
         warnings.warn("dual of the void complex is the full simplex",
                       DegenerateDualWarning, stacklevel=2)
-        return full_simplex(K.n)
-    if K.is_full_simplex:
+    elif K.is_full_simplex:
         warnings.warn("dual of the full simplex is the void complex",
                       DegenerateDualWarning, stacklevel=2)
-        return SimplicialComplex(K.n, ())
+        return _from_masks(K.n, [])
     full = (1 << K.n) - 1
-    duals = [_unmask(full ^ _mask(f)) for f in minimal_nonfaces(K)]
-    return make_complex(K.n, duals, include_empty=True)
+    # the complements of the minimal nonfaces form an antichain; the void
+    # complex has one, the empty set, and its dual is the full simplex
+    return _from_masks(K.n, [full ^ _mask(f) for f in minimal_nonfaces(K)])
 
 
 def nerve(cover: Sequence[Iterable[int]]) -> SimplicialComplex:
@@ -290,7 +285,8 @@ def nerve(cover: Sequence[Iterable[int]]) -> SimplicialComplex:
     facets = [s for s in range(1, 1 << t)
               if inter[s] and not any(inter[s | (1 << b)]
                                       for b in range(t) if not s >> b & 1)]
-    return make_complex(t, [_unmask(s) for s in facets], include_empty=True)
+    # no facet when every member is empty: only the empty index set is left
+    return _from_masks(t, facets or [0])
 
 
 def link(K: SimplicialComplex, s: Iterable[int]) -> SimplicialComplex:
@@ -299,12 +295,11 @@ def link(K: SimplicialComplex, s: Iterable[int]) -> SimplicialComplex:
     st = clean_face(s)
     if not K.is_face(st):
         raise ValueError(f"{st} is not a face of the complex")
-    sset = set(st)
-    rest = [v for v in range(1, K.n + 1) if v not in sset]
-    relabel = {v: i + 1 for i, v in enumerate(rest)}
-    traces = [tuple(relabel[v] for v in f if v not in sset)
-              for f in K.facets if sset <= set(f)]
-    return make_complex(len(rest), traces, include_empty=True)
+    m = _mask(st)
+    rest = _unmask(((1 << K.n) - 1) ^ m)
+    # facets through s stay an antichain once s is taken out of each
+    return _from_masks(len(rest), [_pack(fm, rest) for fm in K.facet_masks
+                                   if fm & m == m])
 
 
 def f_vector(K: SimplicialComplex) -> tuple[int, ...]:

@@ -337,14 +337,16 @@ def _eliminate_unit_pivots(cols: Sequence[Mapping[int, int]]
                 rows[r] = {c}
             else:
                 members.add(c)
-    # (length, index) entries; a column changed by a step is pushed
-    # again, and an entry whose length is no longer current is skipped
+    # (length, index) entries, each queued at most once; a column changed
+    # by a step is pushed again, and a stale length is skipped
     heap = [(len(col), c) for c, col in enumerate(cols) if col]
+    queued = set(heap)
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     pivots = 0
     while heap:
-        size, c = pop(heap)
+        size, c = entry = pop(heap)
+        queued.discard(entry)
         col = cols[c]
         if len(col) != size:
             continue
@@ -379,8 +381,10 @@ def _eliminate_unit_pivots(cols: Sequence[Mapping[int, int]]
                     rows[r2].discard(c2)
                 else:
                     col2[r2] = old - q * x
-            if col2:
-                push(heap, (len(col2), c2))
+            entry = (len(col2), c2)
+            if col2 and entry not in queued:
+                queued.add(entry)
+                push(heap, entry)
         pivots += 1
     live_rows = sorted(r for r, members in rows.items() if members)
     live_cols = [col for col in cols if col]

@@ -19,10 +19,11 @@ from .complexes import (
     SUBSET_ENUM_LIMIT,
     SimplicialComplex,
     Simplex,
+    _from_masks,
     _mask,
+    _maximal,
     _unmask,
     clean_face,
-    make_complex,
     minimal_nonfaces,
     nerve,
 )
@@ -50,12 +51,8 @@ class PrimeFamily:
             if p and (p[0] < 1 or p[-1] > self.ambient):
                 raise ValueError(f"prime {p} outside variables 1..{self.ambient}")
             masks.append(_mask(p))
-        for i, a in enumerate(masks):
-            for j, b in enumerate(masks):
-                if i != j and a | b == b:
-                    raise ValueError("primes must form an antichain")
-        if len(set(masks)) != len(masks):
-            raise ValueError("primes must be distinct")
+        if len(_maximal(masks)) != len(masks):
+            raise ValueError("primes must form an antichain")
 
     @classmethod
     def from_subsets(cls, ambient: int,
@@ -96,9 +93,6 @@ def complex_from_generators(gens: SRGenerators) -> SimplicialComplex:
     containing no generator."""
     n = gens.ambient
     gmasks = [_mask(g) for g in gens.generators]
-    if any(m == 0 for m in gmasks):
-        # the empty monomial generates the unit ideal: no faces survive
-        return SimplicialComplex(n, ())
     qualifying = []
     for m in range(1 << n):
         if not any(m | g == m for g in gmasks):
@@ -108,8 +102,8 @@ def complex_from_generators(gens: SRGenerators) -> SimplicialComplex:
     for m in qualifying:
         if not any((m | (1 << b)) in qset
                    for b in range(n) if not m >> b & 1):
-            facets.append(_unmask(m))
-    return make_complex(n, facets, include_empty=True)
+            facets.append(m)
+    return _from_masks(n, facets)
 
 
 def minimal_primes(K: SimplicialComplex) -> PrimeFamily:
@@ -142,7 +136,8 @@ def delta_of_primes(family: PrimeFamily) -> SimplicialComplex:
               if union[s] != full
               and not any(union[s | (1 << b)] != full
                           for b in range(t) if not s >> b & 1)]
-    return make_complex(t, [_unmask(s) for s in facets], include_empty=True)
+    # no facet when every prime is the maximal ideal
+    return _from_masks(t, facets or [0])
 
 
 @lru_cache(maxsize=1 << 16)

@@ -64,6 +64,22 @@ def brute_dual_faces(n, facets):
     return out
 
 
+def brute_restriction_faces(faces, W):
+    """Faces (from a face set) inside the vertex set W, relabeled
+    order-preservingly onto 1..|W|."""
+    label = {v: i + 1 for i, v in enumerate(sorted(W))}
+    return {tuple(label[v] for v in f) for f in faces if set(f) <= set(W)}
+
+
+def brute_link_faces(faces, n, s):
+    """Faces (from a face set on 1..n) disjoint from s whose union with s
+    is a face, relabeled order-preservingly onto 1..(n - |s|)."""
+    rest = [v for v in range(1, n + 1) if v not in s]
+    label = {v: i + 1 for i, v in enumerate(rest)}
+    return {tuple(label[v] for v in f) for f in faces
+            if not set(f) & set(s) and tuple(sorted(f + tuple(s))) in faces}
+
+
 def brute_nerve_faces(cover):
     """Index sets (1-based) of cover members with a common element."""
     t = len(cover)

@@ -103,6 +103,18 @@ def test_delta_of_primes(capsys, tmp_path):
     assert out == "n 3\nfacet 1 2\nfacet 1 3\nfacet 2 3\n"
 
 
+@pytest.mark.parametrize("family,message", [
+    ({"n": 2, "primes": [[3]]}, "prime (3,) outside variables 1..2"),
+    ({"n": -1, "primes": [[1]]}, "ambient variable count must be nonnegative"),
+])
+def test_delta_rejects_malformed_json_prime_family(capsys, tmp_path, family,
+                                                   message):
+    p = tmp_path / "fam.json"
+    p.write_text(json.dumps(family))
+    code, out, err = run(capsys, "delta", str(p))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_dual_warns_on_degenerate_input(capsys, tmp_path):
     p = tmp_path / "full.cplx"
     p.write_text("n 2\nfacet 1 2\n")

@@ -17,9 +17,29 @@ from spectral_delta import (
     reduced_euler_characteristic,
     restriction,
 )
-from spectral_delta.checks import enumerate_complexes
+from spectral_delta.checks import enumerate_complexes, random_complexes
 
-from oracles import brute_dual_faces, brute_nerve_faces, face_set, subsets
+from oracles import (
+    brute_dual_faces,
+    brute_link_faces,
+    brute_nerve_faces,
+    brute_restriction_faces,
+    face_set,
+    subsets,
+)
+
+# every complex on up to 4 vertices, void ones included, and a seeded
+# sample on 8
+ORACLE_CORPUS = ([make_complex(n, []) for n in range(5)]
+                 + [make_complex(0, [], include_empty=True)]
+                 + [K for n in range(1, 5) for K in enumerate_complexes(n)]
+                 + random_complexes(8, 1, 60))
+
+
+def assert_canonical(K):
+    """Derived complexes skip validation; the validating constructor must
+    accept their facets unchanged."""
+    assert SimplicialComplex(K.n, K.facets) == K
 
 
 def test_clean_face_sorts_and_merges_duplicates():
@@ -98,6 +118,23 @@ def test_faces_enumeration_is_downward_closed(hollow_triangle):
     assert hollow_triangle.faces_of_dim(2) == ()
 
 
+def test_restriction_matches_brute_force_on_every_subset():
+    for K in ORACLE_CORPUS:
+        assert_canonical(K)
+        faces = face_set(K.n, K.facets)
+        for W in subsets(range(1, K.n + 1)):
+            R = restriction(K, W)
+            assert_canonical(R)
+            assert R.n == len(W)
+            expected = brute_restriction_faces(faces, W)
+            assert face_set(R.n, R.facets) == expected, (K, W)
+
+
+def test_restriction_of_void_is_void():
+    R = restriction(make_complex(3, []), (1, 2))
+    assert R.is_void and R.n == 2
+
+
 def test_restriction_examples(hollow_triangle, irrelevant2):
     assert restriction(hollow_triangle, (1, 2)).facets == ((1, 2),)
     assert restriction(hollow_triangle, (1,)).facets == ((1,),)
@@ -147,6 +184,7 @@ def test_dual_matches_brute_force_definition():
             if K.is_full_simplex:
                 continue
             D = alexander_dual(K)
+            assert_canonical(D)
             assert face_set(n, D.facets) == brute_dual_faces(n, K.facets), \
                 K.facets
 
@@ -196,7 +234,24 @@ def test_nerve_matches_brute_force_definition():
     ]
     for cover in covers:
         N = nerve(cover)
+        assert_canonical(N)
         assert face_set(N.n, N.facets) == brute_nerve_faces(cover), cover
+
+
+def test_nerve_of_empty_members_is_irrelevant():
+    N = nerve([(), ()])
+    assert N.is_irrelevant and N.n == 2
+
+
+def test_link_matches_brute_force_on_every_face():
+    for K in ORACLE_CORPUS:
+        faces = face_set(K.n, K.facets)
+        for s in faces:
+            L = link(K, s)
+            assert_canonical(L)
+            assert L.n == K.n - len(s)
+            expected = brute_link_faces(faces, K.n, s)
+            assert face_set(L.n, L.facets) == expected, (K, s)
 
 
 def test_link_of_empty_face_is_the_complex(hollow_triangle):
@@ -242,6 +297,12 @@ def test_is_cone_detection(hollow_triangle):
     assert make_complex(3, [(1, 2), (1, 3)]).is_cone
     assert not hollow_triangle.is_cone
     assert not make_complex(2, [], include_empty=True).is_cone
+
+
+def test_full_simplex_is_canonical():
+    for n in range(5):
+        assert_canonical(full_simplex(n))
+    assert full_simplex(0).is_irrelevant
 
 
 def test_vertices_property():

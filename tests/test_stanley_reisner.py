@@ -8,6 +8,7 @@ from spectral_delta import (
     DegenerateDualWarning,
     PrimeFamily,
     Q,
+    SimplicialComplex,
     SRGenerators,
     Z,
     alexander_dual,
@@ -55,7 +56,10 @@ def test_complex_from_generators_examples():
 def test_generator_round_trip_is_identity():
     for n in (1, 2, 3, 4):
         for K in enumerate_complexes(n):
-            assert complex_from_generators(sr_generators(K)) == K
+            C = complex_from_generators(sr_generators(K))
+            assert SimplicialComplex(C.n, C.facets) == C == K
+    V = complex_from_generators(SRGenerators(2, ((),)))
+    assert V.is_void and V.n == 2
 
 
 def test_minimal_primes_are_facet_complements_in_facet_order(hollow_triangle):
@@ -141,7 +145,9 @@ def test_delta_rejects_empty_ambient():
 def test_delta_of_complex_equals_nerve_everywhere(rp2):
     for n in (1, 2, 3, 4):
         for K in enumerate_complexes(n):
-            assert delta_of_complex(K) == nerve_of_facets(K), K.facets
+            D = delta_of_complex(K)
+            assert SimplicialComplex(D.n, D.facets) == D
+            assert D == nerve_of_facets(K), K.facets
     assert delta_of_complex(rp2) == nerve_of_facets(rp2)
 
 
