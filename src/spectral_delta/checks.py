@@ -1,17 +1,18 @@
 """Theorem checks, corpus generation, and verification sweeps.
 
-Each check verifies one proved statement on one complex with one
-coefficient system and returns a structured outcome carrying a witness
-on failure.  Outcomes also carry an expectation polarity: a documented
-counterexample (torsion breaking an integer-coefficient vanishing
-statement) is asserted positively as an expected failure rather than
-suppressed.
+Each check states one proved statement about one complex with one
+coefficient system (or none) and returns only its verdict: a witness
+when the statement failed, None when it held, and an expectation
+polarity.  `run_instance` alone turns verdicts into `CheckOutcome`
+records, describing the complex once for all of them.  The polarity
+lets a documented counterexample (torsion breaking the
+integer-coefficient vanishing statement) be asserted positively as an
+expected failure rather than suppressed.
 
-Checks whose statements are only true over a field (the duality,
-generator-count and depth-vanishing statements) default to field
-coefficients in sweeps; integer coefficients can still be requested
-explicitly, which is exactly how the documented torsion counterexample
-is exercised.
+Checks whose statements are only true over a field (the duality and
+generator-count statements) skip integer coefficients in sweeps; the
+depth-vanishing check keeps them, which is exactly how the documented
+torsion counterexample is exercised.
 """
 
 from __future__ import annotations
@@ -131,6 +132,11 @@ class CheckOutcome:
         return out
 
 
+# what a check returns: (witness, expect_pass), the witness None when the
+# statement held; run_instance turns it into a CheckOutcome
+Verdict = tuple[dict | None, bool]
+
+
 def _describe(K: SimplicialComplex) -> str:
     return json.dumps({"n": K.n, "facets": [list(f) for f in K.facets]},
                       separators=(",", ":"))
@@ -142,26 +148,19 @@ def _depth_for(K: SimplicialComplex, coeff: FieldSpec) -> int:
     return depth(K, base).depth
 
 
-def check_hartshorne(K: SimplicialComplex, coeff: FieldSpec,
-                     expect_pass: bool = True) -> CheckOutcome:
+def check_hartshorne(K: SimplicialComplex, coeff: FieldSpec) -> Verdict:
     """depth >= 2 forces the derived complex to be connected."""
     d = _depth_for(K, coeff)
     if d < 2:
-        return CheckOutcome("hartshorne", _describe(K), coeff.label, True,
-                            expect_pass)
+        return None, True
     profile = reduced_homology(delta_of_complex(K), coeff)
-    ok = profile.group_is_trivial(0)
-    witness = None if ok else {
-        "depth": d,
-        "h0_free": profile.free_rank(0),
-        "h0_torsion": list(profile.torsion(0)),
-    }
-    return CheckOutcome("hartshorne", _describe(K), coeff.label, ok,
-                        expect_pass, witness)
+    if profile.group_is_trivial(0):
+        return None, True
+    return {"depth": d, "h0_free": profile.free_rank(0),
+            "h0_torsion": list(profile.torsion(0))}, True
 
 
-def check_depth_vanishing(K: SimplicialComplex, coeff: FieldSpec,
-                          expect_pass: bool = True) -> CheckOutcome:
+def check_depth_vanishing(K: SimplicialComplex, coeff: FieldSpec) -> Verdict:
     """depth >= d forces reduced homology of the derived complex to vanish
     in every degree up to d - 2.  Guaranteed for field coefficients only:
     over the integers torsion may survive in the window (the projective
@@ -172,7 +171,6 @@ def check_depth_vanishing(K: SimplicialComplex, coeff: FieldSpec,
     d = _depth_for(K, coeff)
     profile = reduced_homology(delta_of_complex(K), coeff)
     first_bad = None
-    free_bad = None
     for j in range(0, d - 1):
         if profile.group_is_trivial(j):
             continue
@@ -182,110 +180,81 @@ def check_depth_vanishing(K: SimplicialComplex, coeff: FieldSpec,
             "free": profile.free_rank(j),
             "torsion": list(profile.torsion(j)),
         }
+        if entry["free"]:
+            return entry, True
         if first_bad is None:
             first_bad = entry
-        if entry["free"]:
-            free_bad = entry
-            break
-    bad = free_bad or first_bad
-    if bad is not None and free_bad is None and not coeff.is_field:
-        expect_pass = False
-    return CheckOutcome("depth_vanishing", _describe(K), coeff.label,
-                        bad is None, expect_pass, bad)
+    return first_bad, first_bad is None or coeff.is_field
 
 
-def check_few_facets(K: SimplicialComplex, coeff: FieldSpec,
-                     expect_pass: bool = True) -> CheckOutcome:
+def check_few_facets(K: SimplicialComplex, coeff: FieldSpec) -> Verdict:
     """A complex with mu facets has trivial reduced homology in every
     degree mu - 1 and above."""
     mu = len(K.facets)
-    profile = reduced_homology(K, coeff)
-    bad = None
-    for deg, free, tors in profile.entries:
+    for deg, free, tors in reduced_homology(K, coeff).entries:
         if deg >= mu - 1 and (free or tors):
-            bad = {"facets": mu, "degree": deg, "free": free,
-                   "torsion": list(tors)}
-            break
-    return CheckOutcome("few_facets", _describe(K), coeff.label,
-                        bad is None, expect_pass, bad)
+            return {"facets": mu, "degree": deg, "free": free,
+                    "torsion": list(tors)}, True
+    return None, True
 
 
-def check_generator_count(K: SimplicialComplex, coeff: FieldSpec,
-                          expect_pass: bool = True) -> CheckOutcome:
+def check_generator_count(K: SimplicialComplex, coeff: FieldSpec) -> Verdict:
     """With g minimal generators and t = n - g, the derived complex has
     trivial reduced homology in degrees 0..t-2 (field coefficients)."""
     g = len(sr_generators(K))
     t = K.n - g
     profile = reduced_homology(delta_of_complex(K), coeff)
-    bad = None
     for j in range(0, t - 1):
         if not profile.group_is_trivial(j):
-            bad = {"generators": g, "t": t, "degree": j,
-                   "free": profile.free_rank(j),
-                   "torsion": list(profile.torsion(j))}
-            break
-    return CheckOutcome("generator_count", _describe(K), coeff.label,
-                        bad is None, expect_pass, bad)
+            return {"generators": g, "t": t, "degree": j,
+                    "free": profile.free_rank(j),
+                    "torsion": list(profile.torsion(j))}, True
+    return None, True
 
 
-def check_alexander_duality(K: SimplicialComplex, coeff: FieldSpec,
-                            expect_pass: bool = True) -> CheckOutcome:
+def check_alexander_duality(K: SimplicialComplex,
+                            coeff: FieldSpec) -> Verdict:
     """Reduced Betti numbers of K in degree j match those of the dual in
     degree n - 3 - j (field coefficients)."""
     if K.is_void or K.is_irrelevant or K.is_full_simplex:
         raise ValueError("duality needs a complex strictly between the "
                          "irrelevant complex and the full simplex")
-    dual = alexander_dual(K)
     pk = reduced_homology(K, coeff)
-    pd = reduced_homology(dual, coeff)
-    bad = None
+    pd = reduced_homology(alexander_dual(K), coeff)
     for j in range(-1, K.n + 1):
         left = pk.betti(j)
         right = pd.betti(K.n - 3 - j)
         if left != right:
-            bad = {"degree": j, "betti": left, "dual_degree": K.n - 3 - j,
-                   "dual_betti": right}
-            break
-    return CheckOutcome("alexander_duality", _describe(K), coeff.label,
-                        bad is None, expect_pass, bad)
+            return {"degree": j, "betti": left, "dual_degree": K.n - 3 - j,
+                    "dual_betti": right}, True
+    return None, True
 
 
-def check_nerve(K: SimplicialComplex, coeff: FieldSpec,
-                expect_pass: bool = True) -> CheckOutcome:
+def check_nerve(K: SimplicialComplex, coeff: FieldSpec) -> Verdict:
     """The nerve of the facet cover has the same reduced homology as the
     complex itself (facet intersections are simplices, hence
     contractible)."""
-    nrv = nerve_of_facets(K)
-    same = reduced_homology(K, coeff) == reduced_homology(nrv, coeff)
-    witness = None if same else {
-        "complex": reduced_homology(K, coeff).as_json(),
-        "nerve": reduced_homology(nrv, coeff).as_json(),
-    }
-    return CheckOutcome("nerve", _describe(K), coeff.label, same,
-                        expect_pass, witness)
+    pk = reduced_homology(K, coeff)
+    pn = reduced_homology(nerve_of_facets(K), coeff)
+    if pk == pn:
+        return None, True
+    return {"complex": pk.as_json(), "nerve": pn.as_json()}, True
 
 
-def check_delta_iso_nerve(K: SimplicialComplex,
-                          expect_pass: bool = True) -> CheckOutcome:
+def check_delta_iso_nerve(K: SimplicialComplex) -> Verdict:
     """The derived complex of the minimal primes equals the nerve of the
     facets, vertex for vertex, under the shared facet indexing."""
     d = delta_of_complex(K)
     nrv = nerve_of_facets(K)
-    same = d == nrv
-    witness = None if same else {
-        "delta_facets": [list(f) for f in d.facets],
-        "nerve_facets": [list(f) for f in nrv.facets],
-    }
-    return CheckOutcome("delta_iso_nerve", _describe(K), "-", same,
-                        expect_pass, witness)
+    if d == nrv:
+        return None, True
+    return {"delta_facets": [list(f) for f in d.facets],
+            "nerve_facets": [list(f) for f in nrv.facets]}, True
 
 
-def check_uct(K: SimplicialComplex, coeff: FieldSpec | int,
-              expect_pass: bool = True) -> CheckOutcome:
+def check_uct(K: SimplicialComplex, coeff: FieldSpec) -> Verdict:
     """Dimension over F_p equals the integral free rank plus the counts of
     p-divisible torsion in this degree and the one below."""
-    if isinstance(coeff, int):
-        coeff = FieldSpec.prime(coeff)
     if coeff.tag != "prime_field":
         raise ValueError("the coefficient comparison needs a prime field")
     p = coeff.p
@@ -293,17 +262,14 @@ def check_uct(K: SimplicialComplex, coeff: FieldSpec | int,
     fp = reduced_homology(K, coeff)
     degrees = set(zp.nonzero_degrees()) | set(fp.nonzero_degrees())
     degrees |= {d + 1 for d in zp.nonzero_degrees()}
-    bad = None
     for i in sorted(degrees):
         expected = (zp.free_rank(i)
                     + sum(1 for t in zp.torsion(i) if t % p == 0)
                     + sum(1 for t in zp.torsion(i - 1) if t % p == 0))
         if fp.betti(i) != expected:
-            bad = {"degree": i, "field_dim": fp.betti(i),
-                   "predicted": expected}
-            break
-    return CheckOutcome("uct", _describe(K), coeff.label, bad is None,
-                        expect_pass, bad)
+            return {"degree": i, "field_dim": fp.betti(i),
+                    "predicted": expected}, True
+    return None, True
 
 
 # registry: check id -> (runner, coefficient policy)
@@ -343,22 +309,23 @@ def _applicable(K: SimplicialComplex, check_id: str) -> bool:
 
 def run_instance(K: SimplicialComplex, check_ids: Sequence[str],
                  coeffs: Sequence[FieldSpec]) -> list[CheckOutcome]:
-    """All requested checks on one complex; inapplicable combinations are
-    skipped silently (the sweep counts them)."""
+    """Outcome records for all requested checks on one complex;
+    inapplicable combinations are skipped silently (the sweep counts
+    them).  A coefficient-free check is recorded under the label "-"."""
+    instance = _describe(K)
     out = []
     for cid in check_ids:
         runner, policy = CHECKS[cid]
         if not _applicable(K, cid):
             continue
-        if policy == "none":
-            out.append(runner(K))
-            continue
-        for c in coeffs:
-            if policy == "field" and not c.is_field:
-                continue
-            if policy == "prime" and c.tag != "prime_field":
-                continue
-            out.append(runner(K, c))
+        runs = ([("-", ())] if policy == "none" else
+                [(c.label, (c,)) for c in coeffs
+                 if (policy != "field" or c.is_field)
+                 and (policy != "prime" or c.tag == "prime_field")])
+        for label, args in runs:
+            witness, expect_pass = runner(K, *args)
+            out.append(CheckOutcome(cid, instance, label, witness is None,
+                                    expect_pass, witness))
     return out
 
 

@@ -223,7 +223,10 @@ def cmd_check(args) -> int:
     K = _load_complex(args.input)
     check_ids = _resolve_checks(args.checks)
     coeffs = _parse_fields(args.fields)
-    outcomes = run_instance(K, check_ids, coeffs)
+    try:
+        outcomes = run_instance(K, check_ids, coeffs)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     if args.json:
         print(json.dumps([o.as_json() for o in outcomes]))
     else:

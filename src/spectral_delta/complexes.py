@@ -30,9 +30,6 @@ VOID = "void"
 IRRELEVANT = "irrelevant"
 NONEMPTY = "nonempty"
 
-# Subset enumeration over k cover members / primes costs 2**k ints.
-SUBSET_ENUM_LIMIT = 20
-
 
 class DegenerateDualWarning(UserWarning):
     """Alexander dual requested for a void or full-simplex complex."""
@@ -265,28 +262,15 @@ def alexander_dual(K: SimplicialComplex) -> SimplicialComplex:
 def nerve(cover: Sequence[Iterable[int]]) -> SimplicialComplex:
     """Nerve of a cover: one vertex per cover member (numbered by position,
     1-based), a face for every index set with a common element."""
-    members = [clean_face(c) for c in cover]
-    if not members:
+    if not cover:
         raise ValueError("nerve of an empty cover is undefined")
-    t = len(members)
-    if t > SUBSET_ENUM_LIMIT:
-        raise ValueError(f"cover has {t} members; limit is {SUBSET_ENUM_LIMIT}")
-    masks = [_mask(c) for c in members]
-    universe = 0
-    for m in masks:
-        universe |= m
-    inter = [0] * (1 << t)
-    inter[0] = universe | 1  # nonzero sentinel: empty index set always a face
-    for s in range(1, 1 << t):
-        low = s & -s
-        rest = s ^ low
-        base = inter[rest] if rest else ~0
-        inter[s] = base & masks[low.bit_length() - 1]
-    facets = [s for s in range(1, 1 << t)
-              if inter[s] and not any(inter[s | (1 << b)]
-                                      for b in range(t) if not s >> b & 1)]
-    # no facet when every member is empty: only the empty index set is left
-    return _from_masks(t, facets or [0])
+    stars: dict[int, int] = {}
+    for i, member in enumerate(cover):
+        for v in member:
+            stars[v] = stars.get(v, 0) | 1 << i
+    # the facets are the maximal stars {i : v in C_i} of the covered points;
+    # with no covered point only the empty index set is left
+    return _from_masks(len(cover), _maximal([0, *stars.values()]))
 
 
 def link(K: SimplicialComplex, s: Iterable[int]) -> SimplicialComplex:

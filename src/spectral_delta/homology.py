@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import NONEMPTY, Simplex, SimplicialComplex
+from .complexes import Simplex, SimplicialComplex
 from .linalg import (IntMatrix, _eliminate_unit_pivots, mod_p_rank,
                      rational_rank, snf_diagonal)
 
@@ -240,7 +240,7 @@ def _homology(basis: Mapping[int, Sequence[Simplex]],
 def _reduced_cached(K: SimplicialComplex, coeff: FieldSpec) -> HomologyProfile:
     if K.is_void:
         return HomologyProfile(coeff)
-    if K.kind == NONEMPTY and K.is_cone:
+    if K.is_cone:
         # a vertex common to all facets makes the complex a cone, which is
         # contractible: every reduced group vanishes
         return HomologyProfile(coeff)

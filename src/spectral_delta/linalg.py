@@ -67,11 +67,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
-    def determinant(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError("determinant needs a square matrix")
-        return _bareiss_det([row[:] for row in self.data])
-
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
 
@@ -87,30 +82,6 @@ class SnfResult:
     @property
     def invariant_factors(self) -> list[int]:
         return [d for d in self.D.diagonal() if d != 0]
-
-
-def _bareiss_det(M: list[list[int]]) -> int:
-    n = len(M)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        piv = M[k][k]
-        for i in range(k + 1, n):
-            Mi, Mk = M[i], M[k]
-            t = Mi[k]
-            for j in range(k + 1, n):
-                Mi[j] = (piv * Mi[j] - t * Mk[j]) // prev
-            Mi[k] = 0
-        prev = piv
-    return sign * M[n - 1][n - 1]
 
 
 def _snf_core(M: list[list[int]], m: int, n: int, U=None, V=None) -> list[int]:

@@ -157,9 +157,20 @@ def primes_to_json(P: PrimeFamily) -> dict:
 def primes_from_json(obj: dict) -> tuple[PrimeFamily, list[str]]:
     if not isinstance(obj, dict) or "n" not in obj or "primes" not in obj:
         raise FormatError('expected an object {"n": int, "primes": [[...]]}')
-    family = PrimeFamily.from_subsets(obj["n"], obj["primes"])
+    n, primes = obj["n"], obj["primes"]
+    if not isinstance(n, int):
+        raise FormatError(f"bad variable count {n!r}")
+    if not isinstance(primes, list):
+        raise FormatError(f"bad prime list {primes!r}")
+    for p in primes:
+        if not isinstance(p, list):
+            raise FormatError(f"bad prime {p!r}")
+        for v in p:
+            if not isinstance(v, int) or v < 1:
+                raise FormatError(f"bad variable {v!r} in prime {p!r}")
+    family = PrimeFamily.from_subsets(n, primes)
     notices = []
-    if len(family.primes) != len(obj["primes"]):
+    if len(family.primes) != len(primes):
         notices.append("duplicate or non-minimal primes pruned")
     return family, notices
 

@@ -13,20 +13,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .complexes import (
-    SUBSET_ENUM_LIMIT,
     SimplicialComplex,
     Simplex,
     _from_masks,
     _mask,
     _maximal,
     _unmask,
-    clean_face,
     minimal_nonfaces,
     nerve,
 )
+
+# delta_of_primes walks all 2**k index sets of a k-member family
+SUBSET_ENUM_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,14 @@ class PrimeFamily:
                      subsets: Iterable[Iterable[int]]) -> "PrimeFamily":
         """Canonicalize arbitrary input: drop duplicates and non-minimal
         members, sort lexicographically."""
-        cleaned = {clean_face(s) for s in subsets}
-        masks = {s: _mask(s) for s in cleaned}
-        keep = [s for s in cleaned
-                if not any(s != t and masks[t] | masks[s] == masks[s]
-                           for t in cleaned)]
-        return cls(ambient, tuple(sorted(keep)))
+        masks = [_mask(s) for s in subsets]
+        union = 0
+        for m in masks:
+            union |= m
+        # the minimal members are the complements, within the union, of
+        # the maximal complements
+        keep = [union ^ m for m in _maximal(union ^ m for m in masks)]
+        return cls(ambient, tuple(sorted(map(_unmask, keep))))
 
     def __len__(self):
         return len(self.primes)

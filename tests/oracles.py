@@ -4,7 +4,7 @@ Everything in this module recomputes answers from first principles
 (subset enumeration, set-based GF(2) elimination, exact elimination
 over Q and GF(p)) without calling into the package, so a library bug
 cannot hide inside its own oracle.  Package objects passed in are only
-read for their facets and characteristic.
+read for their facets, characteristic or matrix entries.
 Vertices are 1-based everywhere, matching the package convention.
 """
 
@@ -243,3 +243,32 @@ def reisner_cohen_macaulay(K, coeff):
         if any(betti[j] for j in range(-1, top)):
             return False
     return True
+
+
+def determinant(A):
+    """Determinant of a square IntMatrix by fraction-free (Bareiss)
+    elimination on a copy of its entries."""
+    if A.rows != A.cols:
+        raise ValueError("determinant needs a square matrix")
+    M = [row[:] for row in A.data]
+    n = len(M)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        piv = M[k][k]
+        for i in range(k + 1, n):
+            Mi, Mk = M[i], M[k]
+            t = Mi[k]
+            for j in range(k + 1, n):
+                Mi[j] = (piv * Mi[j] - t * Mk[j]) // prev
+            Mi[k] = 0
+        prev = piv
+    return sign * M[n - 1][n - 1]

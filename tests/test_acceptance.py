@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from oracles import reisner_cohen_macaulay
+from oracles import determinant, reisner_cohen_macaulay
 from spectral_delta import (
     Q,
     Z,
@@ -190,8 +190,8 @@ def test_09_smith_normal_form_contract_holds_in_bulk():
         res = smith_normal_form(A)
         U, D, V = res.U, res.D, res.V
         good = (U @ A @ V).data == D.data
-        good = good and abs(U.determinant()) == 1
-        good = good and abs(V.determinant()) == 1
+        good = good and abs(determinant(U)) == 1
+        good = good and abs(determinant(V)) == 1
         diag = res.invariant_factors
         good = good and all(d > 0 for d in diag)
         good = good and all(diag[i + 1] % diag[i] == 0

@@ -1,5 +1,6 @@
 """Theorem checks and sweep machinery."""
 
+import hashlib
 import json
 
 import pytest
@@ -16,12 +17,6 @@ from spectral_delta.checks import (
     CHECK_IDS,
     CheckOutcome,
     check_alexander_duality,
-    check_delta_iso_nerve,
-    check_depth_vanishing,
-    check_few_facets,
-    check_generator_count,
-    check_hartshorne,
-    check_nerve,
     check_uct,
     enumerate_complexes,
     random_complexes,
@@ -90,22 +85,28 @@ def test_outcome_expectation_polarity():
     assert surprise_pass.unexpected
 
 
+def outcome(K, check_id, coeff=None):
+    """The single outcome record run_instance builds for one check."""
+    [out] = run_instance(K, (check_id,), () if coeff is None else (coeff,))
+    return out
+
+
 def test_hartshorne_examples(hollow_triangle, two_points):
-    assert check_hartshorne(hollow_triangle, Q).passed
-    assert check_hartshorne(two_points, Q).passed  # depth 1: vacuous
-    assert check_hartshorne(full_simplex(3), F2).passed
+    assert outcome(hollow_triangle, "hartshorne", Q).passed
+    assert outcome(two_points, "hartshorne", Q).passed  # depth 1: vacuous
+    assert outcome(full_simplex(3), "hartshorne", F2).passed
 
 
 def test_depth_vanishing_examples(rp2):
-    assert check_depth_vanishing(rp2, Q).passed
-    assert check_depth_vanishing(full_simplex(2), F3).passed
+    assert outcome(rp2, "depth_vanishing", Q).passed
+    assert outcome(full_simplex(2), "depth_vanishing", F3).passed
 
 
 def test_depth_vanishing_torsion_witness_is_an_expected_failure(rp2):
     # depth 3 over the rationals, yet the derived complex keeps 2-torsion
     # in degree 1 <= depth - 2: the documented integer-coefficient gap.
     # The check downgrades the polarity itself on torsion-only failures.
-    out = check_depth_vanishing(rp2, Z)
+    out = outcome(rp2, "depth_vanishing", Z)
     assert not out.passed
     assert not out.expect_pass
     assert not out.unexpected
@@ -115,30 +116,30 @@ def test_depth_vanishing_torsion_witness_is_an_expected_failure(rp2):
     assert out.witness["depth"] == 3
     # and the same statement over any field is clean
     for F in (Q, F2, F3):
-        assert check_depth_vanishing(rp2, F).passed
+        assert outcome(rp2, "depth_vanishing", F).passed
 
 
 def test_depth_vanishing_integral_pass_keeps_positive_polarity(
         hollow_triangle):
-    out = check_depth_vanishing(hollow_triangle, Z)
+    out = outcome(hollow_triangle, "depth_vanishing", Z)
     assert out.passed and out.expect_pass
 
 
 def test_few_facets_examples(hollow_triangle):
-    assert check_few_facets(hollow_triangle, Q).passed
-    assert check_few_facets(full_simplex(1), Q).passed
-    assert check_few_facets(hollow_triangle, Z).passed
+    assert outcome(hollow_triangle, "few_facets", Q).passed
+    assert outcome(full_simplex(1), "few_facets", Q).passed
+    assert outcome(hollow_triangle, "few_facets", Z).passed
 
 
 def test_generator_count_examples(hollow_triangle):
-    assert check_generator_count(full_simplex(3), Q).passed
-    assert check_generator_count(hollow_triangle, F2).passed
+    assert outcome(full_simplex(3), "generator_count", Q).passed
+    assert outcome(hollow_triangle, "generator_count", F2).passed
 
 
 def test_duality_examples(hollow_triangle, two_points, rp2):
-    assert check_alexander_duality(hollow_triangle, Q).passed
-    assert check_alexander_duality(two_points, Q).passed
-    assert check_alexander_duality(rp2, F2).passed
+    assert outcome(hollow_triangle, "alexander_duality", Q).passed
+    assert outcome(two_points, "alexander_duality", Q).passed
+    assert outcome(rp2, "alexander_duality", F2).passed
     with pytest.raises(ValueError):
         check_alexander_duality(full_simplex(2), Q)
     with pytest.raises(ValueError):
@@ -146,17 +147,17 @@ def test_duality_examples(hollow_triangle, two_points, rp2):
 
 
 def test_nerve_and_iso_examples(hollow_triangle, rp2):
-    assert check_nerve(hollow_triangle, Z).passed
-    assert check_nerve(full_simplex(3), Q).passed
-    assert check_nerve(rp2, Z).passed
-    assert check_delta_iso_nerve(hollow_triangle).passed
-    assert check_delta_iso_nerve(rp2).passed
+    assert outcome(hollow_triangle, "nerve", Z).passed
+    assert outcome(full_simplex(3), "nerve", Q).passed
+    assert outcome(rp2, "nerve", Z).passed
+    assert outcome(hollow_triangle, "delta_iso_nerve").passed
+    assert outcome(rp2, "delta_iso_nerve").passed
 
 
 def test_uct_examples(hollow_triangle, rp2):
-    assert check_uct(rp2, 2).passed
-    assert check_uct(rp2, 3).passed
-    assert check_uct(hollow_triangle, F2).passed
+    assert outcome(rp2, "uct", F2).passed
+    assert outcome(rp2, "uct", F3).passed
+    assert outcome(hollow_triangle, "uct", F2).passed
     with pytest.raises(ValueError):
         check_uct(rp2, Q)
 
@@ -259,6 +260,32 @@ def test_sweep_bodies_match_across_worker_counts(args, monkeypatch):
     serial = sweep(**args, coeffs=coeffs, threads=1)
     parallel = sweep(**args, coeffs=coeffs, threads=2)
     assert serial.body_json() == parallel.body_json()
+
+
+def _digest(obj):
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of the sorted JSON: any change to a verdict, a witness or the
+# layout of the records shows here, not only a serial/parallel mismatch
+@pytest.mark.parametrize("args,digest", [
+    (dict(n=4),
+     "82284ef2e22e679bfe20bfbffc879c2eaf643da4c8348b64b83673d8c3cc3884"),
+    (dict(n=7, mode="random", seed=3, count=60),
+     "5d0cd729581d47139c3a95a96bc36626fe97c5e504c9fcfbb0789588da3b3120"),
+], ids=["n4", "n7-random"])
+def test_sweep_bodies_are_pinned(args, digest):
+    body = sweep(**args, coeffs=(Z, Q, F2, F3)).body_json()
+    assert _digest(body) == digest
+
+
+def test_rp2_outcome_records_are_pinned(rp2):
+    # covers the integral torsion witness and its expected failure
+    records = [o.as_json() for o in run_instance(rp2, CHECK_IDS,
+                                                 (Z, Q, F2, F3))]
+    assert _digest(records) == (
+        "928feb533503e1f735928366eebeb41fd37c033cb8ec11fc06f6c467ef96b841")
 
 
 def test_worker_reports_torsion_with_its_outcomes(rp2):

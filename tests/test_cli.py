@@ -106,13 +106,19 @@ def test_delta_of_primes(capsys, tmp_path):
 @pytest.mark.parametrize("family,message", [
     ({"n": 2, "primes": [[3]]}, "prime (3,) outside variables 1..2"),
     ({"n": -1, "primes": [[1]]}, "ambient variable count must be nonnegative"),
+    # format errors name the file first
+    ({"n": 2, "primes": [["a"]]}, "{path}: bad variable 'a' in prime ['a']"),
+    ({"n": "x", "primes": [[1]]}, "{path}: bad variable count 'x'"),
+    ({"n": 2, "primes": 5}, "{path}: bad prime list 5"),
+    ({"n": 2, "primes": [1]}, "{path}: bad prime 1"),
+    ({"n": 2, "primes": [[0]]}, "{path}: bad variable 0 in prime [0]"),
 ])
 def test_delta_rejects_malformed_json_prime_family(capsys, tmp_path, family,
                                                    message):
     p = tmp_path / "fam.json"
     p.write_text(json.dumps(family))
     code, out, err = run(capsys, "delta", str(p))
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out, err) == (2, "", f"error: {message.format(path=p)}\n")
 
 
 def test_dual_warns_on_degenerate_input(capsys, tmp_path):
@@ -197,6 +203,18 @@ def test_check_marks_expected_integral_failure(capsys, rp2_file):
 def test_check_needs_input_or_fixture(capsys):
     code, _, err = run(capsys, "check")
     assert code == 2 and err.startswith("error:")
+
+
+def test_check_rejects_a_family_too_large_for_delta(capsys, tmp_path):
+    # the 21 edges of the complete graph on 7 vertices: depth 2, so the
+    # hartshorne check needs delta of 21 primes, past its subset limit
+    p = tmp_path / "big.cplx"
+    p.write_text("n 7\n" + "".join(f"facet {a} {b}\n"
+                                    for a in range(1, 8)
+                                    for b in range(a + 1, 8)))
+    code, out, err = run(capsys, "check", str(p), "--checks", "hartshorne")
+    assert (code, out, err) == (
+        2, "", "error: family has 21 primes; limit is 20\n")
 
 
 def test_check_unknown_check_id(capsys, hollow_file):

@@ -238,6 +238,14 @@ def test_nerve_matches_brute_force_definition():
         assert face_set(N.n, N.facets) == brute_nerve_faces(cover), cover
 
 
+def test_nerve_of_more_than_twenty_members():
+    # no subset-lattice walk, so no cap on the number of members
+    shared = nerve([(1, v) for v in range(2, 23)])
+    assert shared.n == 21 and shared.facets == (tuple(range(1, 22)),)
+    disjoint = nerve([(v,) for v in range(1, 22)])
+    assert disjoint.facets == tuple((i,) for i in range(1, 22))
+
+
 def test_nerve_of_empty_members_is_irrelevant():
     N = nerve([(), ()])
     assert N.is_irrelevant and N.n == 2
