@@ -77,10 +77,7 @@ def enumerate_complexes(n: int) -> Iterator[SimplicialComplex]:
     def walk(idx: int) -> Iterator[SimplicialComplex]:
         if idx == total:
             if chosen:
-                yield _from_masks(n, [m for m in chosen
-                                      if not any((m | (1 << v)) in chosen
-                                                 for v in range(n)
-                                                 if not m >> v & 1)])
+                yield _from_masks(n, _maximal(chosen))
             return
         m = subsets[idx]
         yield from walk(idx + 1)
@@ -375,7 +372,7 @@ class SweepReport:
             "failures": self.failures,
         }
 
-    def render_text(self, with_timing: bool = True) -> str:
+    def render_text(self) -> str:
         lines = [
             f"sweep n={self.n} mode={self.mode}"
             + (f" seed={self.seed} count={self.count}"
@@ -395,8 +392,7 @@ class SweepReport:
         for fail in self.failures[:10]:
             lines.append(f"  FAIL {fail['check']} [{fail['coefficients']}] "
                          f"{fail['instance']}")
-        if with_timing:
-            lines.append(f"elapsed: {self.elapsed:.2f}s")
+        lines.append(f"elapsed: {self.elapsed:.2f}s")
         return "\n".join(lines)
 
 

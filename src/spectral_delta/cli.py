@@ -70,9 +70,7 @@ def _load_complex(path: str) -> SimplicialComplex:
             K, notices = complex_from_json(json.loads(text))
         else:
             K, notices = parse_complex_text(text)
-    except FormatError as exc:
-        raise UsageError(f"{path}: {exc}")
-    except (json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:  # FormatError and JSONDecodeError included
         raise UsageError(f"{path}: {exc}")
     _emit_notices(notices, path)
     return K

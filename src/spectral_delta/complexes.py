@@ -13,7 +13,8 @@ Vertices of the ambient set that appear in no face are permitted.  All
 operations are pure; complexes are immutable, hashable and comparable.
 
 Derived complexes (links, restrictions, duals, nerves) are built from
-facet bitmasks; validation runs on outside input only.
+facet bitmasks; validation runs on outside input only.  Minimal nonfaces
+and duals come from minimal transversals, not from all 2**n subsets.
 """
 
 from __future__ import annotations
@@ -71,6 +72,20 @@ def _maximal(masks: Iterable[int]) -> list[int]:
         if not any(m | k == k for k in keep):
             keep.append(m)
     return keep
+
+
+def _transversals(masks: Iterable[int]) -> list[int]:
+    """The inclusion-minimal masks that meet every mask in `masks`: [0]
+    for no masks, [] once one is empty.  Berge's algorithm: a set that
+    misses the next mask grows by each of its bits, unless the grown set
+    contains a set that meets the mask; no two grown sets nest."""
+    out = [0]
+    for s in masks:
+        bits = [1 << b for b in range(s.bit_length()) if s >> b & 1]
+        keep = [t for t in out if t & s]
+        out = keep + [t | b for t in out if not t & s for b in bits
+                      if not any(k | t | b == t | b for k in keep)]
+    return out
 
 
 def _from_masks(n: int, masks: Iterable[int]) -> SimplicialComplex:
@@ -156,9 +171,7 @@ class SimplicialComplex:
         f = clean_face(face)
         if f and (f[0] < 1 or f[-1] > self.n):
             raise ValueError(f"face {f} outside ambient set 1..{self.n}")
-        return self._is_face_mask(_mask(f))
-
-    def _is_face_mask(self, m: int) -> bool:
+        m = _mask(f)
         return any(m | fm == fm for fm in self.facet_masks)
 
     @cached_property
@@ -225,16 +238,14 @@ def restriction(K: SimplicialComplex, W: Iterable[int]) -> SimplicialComplex:
 
 
 def minimal_nonfaces(K: SimplicialComplex) -> list[Simplex]:
-    """Inclusion-minimal subsets of 1..n that are not faces of K.
+    """Inclusion-minimal subsets of 1..n that are not faces of K, that is
+    the minimal sets that meet every facet complement, by size then lex.
 
     For a non-void complex every minimal nonface is nonempty.  The void
     complex has the empty set as its unique minimal nonface.
     """
-    if K.is_void:
-        return [()]
-    face = K._is_face_mask
-    out = [_unmask(m) for m in range(1, 1 << K.n) if not face(m)
-           and all(face(m ^ 1 << b) for b in range(K.n) if m >> b & 1)]
+    full = (1 << K.n) - 1
+    out = [_unmask(t) for t in _transversals(full ^ m for m in K.facet_masks)]
     out.sort(key=lambda f: (len(f), f))
     return out
 
@@ -252,11 +263,11 @@ def alexander_dual(K: SimplicialComplex) -> SimplicialComplex:
     elif K.is_full_simplex:
         warnings.warn("dual of the full simplex is the void complex",
                       DegenerateDualWarning, stacklevel=2)
-        return _from_masks(K.n, [])
     full = (1 << K.n) - 1
-    # the complements of the minimal nonfaces form an antichain; the void
-    # complex has one, the empty set, and its dual is the full simplex
-    return _from_masks(K.n, [full ^ _mask(f) for f in minimal_nonfaces(K)])
+    # the facets are the complements of the minimal nonfaces; the void
+    # complex has one, the empty set, and the full simplex has none
+    return _from_masks(K.n, [full ^ t for t in
+                             _transversals(full ^ m for m in K.facet_masks)])
 
 
 def nerve(cover: Sequence[Iterable[int]]) -> SimplicialComplex:

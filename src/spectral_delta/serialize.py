@@ -110,13 +110,26 @@ def complex_to_json(K: SimplicialComplex) -> dict:
     return {"n": K.n, "facets": [list(f) for f in K.facets]}
 
 
+def _is_int(v) -> bool:
+    """True for a JSON integer; true and false do not count."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def complex_from_json(obj: dict) -> tuple[SimplicialComplex, list[str]]:
     if not isinstance(obj, dict) or "n" not in obj or "facets" not in obj:
         raise FormatError('expected an object {"n": int, "facets": [[...]]}')
-    n = obj["n"]
-    if not isinstance(n, int) or n < 0:
+    n, facets = obj["n"], obj["facets"]
+    if not _is_int(n) or n < 0:
         raise FormatError(f"bad vertex count {n!r}")
-    facets = obj["facets"]
+    if not isinstance(facets, list):
+        raise FormatError(f"bad facet list {facets!r}")
+    for f in facets:
+        if not isinstance(f, list):
+            raise FormatError(f"bad facet {f!r}")
+        for v in f:
+            if not _is_int(v):
+                # make_complex words its range errors the same way
+                raise FormatError(f"vertex {v!r} out of range 1..{n}")
     has_empty = any(len(f) == 0 for f in facets)
     K = make_complex(n, facets, include_empty=has_empty)
     notices = []
@@ -158,7 +171,7 @@ def primes_from_json(obj: dict) -> tuple[PrimeFamily, list[str]]:
     if not isinstance(obj, dict) or "n" not in obj or "primes" not in obj:
         raise FormatError('expected an object {"n": int, "primes": [[...]]}')
     n, primes = obj["n"], obj["primes"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise FormatError(f"bad variable count {n!r}")
     if not isinstance(primes, list):
         raise FormatError(f"bad prime list {primes!r}")
@@ -166,7 +179,7 @@ def primes_from_json(obj: dict) -> tuple[PrimeFamily, list[str]]:
         if not isinstance(p, list):
             raise FormatError(f"bad prime {p!r}")
         for v in p:
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise FormatError(f"bad variable {v!r} in prime {p!r}")
     family = PrimeFamily.from_subsets(n, primes)
     notices = []

@@ -21,6 +21,7 @@ from .complexes import (
     _from_masks,
     _mask,
     _maximal,
+    _transversals,
     _unmask,
     minimal_nonfaces,
     nerve,
@@ -93,20 +94,12 @@ def sr_generators(K: SimplicialComplex) -> SRGenerators:
 
 def complex_from_generators(gens: SRGenerators) -> SimplicialComplex:
     """Inverse dictionary: the complex whose faces are the subsets of 1..n
-    containing no generator."""
-    n = gens.ambient
-    gmasks = [_mask(g) for g in gens.generators]
-    qualifying = []
-    for m in range(1 << n):
-        if not any(m | g == m for g in gmasks):
-            qualifying.append(m)
-    qset = set(qualifying)
-    facets = []
-    for m in qualifying:
-        if not any((m | (1 << b)) in qset
-                   for b in range(n) if not m >> b & 1):
-            facets.append(m)
-    return _from_masks(n, facets)
+    containing no generator.  Its facets are the complements of the
+    minimal sets that meet every generator."""
+    full = (1 << gens.ambient) - 1
+    # a generator with a vertex outside 1..n lies in no face
+    return _from_masks(gens.ambient, [full ^ t for t in _transversals(
+        m for m in map(_mask, gens.generators) if m | full == full)])
 
 
 def minimal_primes(K: SimplicialComplex) -> PrimeFamily:

@@ -64,6 +64,15 @@ def brute_dual_faces(n, facets):
     return out
 
 
+def brute_minimal_nonfaces(n, facets):
+    """Minimal nonfaces by scanning every subset of 1..n: the nonfaces
+    whose one-smaller subsets are all faces, by size then lexicographically.
+    """
+    faces = face_set(n, facets)
+    return [s for s in subsets(range(1, n + 1)) if s not in faces
+            and all(s[:i] + s[i + 1:] in faces for i in range(len(s)))]
+
+
 def brute_restriction_faces(faces, W):
     """Faces (from a face set) inside the vertex set W, relabeled
     order-preservingly onto 1..|W|."""

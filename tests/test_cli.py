@@ -112,6 +112,8 @@ def test_delta_of_primes(capsys, tmp_path):
     ({"n": 2, "primes": 5}, "{path}: bad prime list 5"),
     ({"n": 2, "primes": [1]}, "{path}: bad prime 1"),
     ({"n": 2, "primes": [[0]]}, "{path}: bad variable 0 in prime [0]"),
+    ({"n": 2, "primes": [[True]]},
+     "{path}: bad variable True in prime [True]"),
 ])
 def test_delta_rejects_malformed_json_prime_family(capsys, tmp_path, family,
                                                    message):
@@ -119,6 +121,23 @@ def test_delta_rejects_malformed_json_prime_family(capsys, tmp_path, family,
     p.write_text(json.dumps(family))
     code, out, err = run(capsys, "delta", str(p))
     assert (code, out, err) == (2, "", f"error: {message.format(path=p)}\n")
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"n": 2, "facets": [[3]]}, "vertex 3 out of range 1..2"),
+    ({"n": 2, "facets": [["a"]]}, "vertex 'a' out of range 1..2"),
+    ({"n": 2, "facets": 5}, "bad facet list 5"),
+    ({"n": 2, "facets": [1]}, "bad facet 1"),
+    ({"n": 2, "facets": [[1, "a"]]}, "vertex 'a' out of range 1..2"),
+    ({"n": 2, "facets": [[True]]}, "vertex True out of range 1..2"),
+    ({"n": True, "facets": [[1]]}, "bad vertex count True"),
+])
+def test_homology_rejects_malformed_json_complex(capsys, tmp_path, obj,
+                                                 message):
+    p = tmp_path / "k.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "homology", str(p))
+    assert (code, out, err) == (2, "", f"error: {p}: {message}\n")
 
 
 def test_dual_warns_on_degenerate_input(capsys, tmp_path):
@@ -274,24 +293,43 @@ def test_notices_go_to_stderr(capsys, tmp_path):
     assert code == 0 and err.startswith("notice:") and "merged" in err
 
 
+# 92 bytes, but 32,766 faces and 2**28 vertex subsets
+TWO_FACETS = ("n 28\nfacet " + " ".join(map(str, range(1, 15)))
+              + "\nfacet " + " ".join(map(str, range(15, 29))) + "\n")
+
+
+def run_child(tmp_path, *argv):
+    """Run the CLI on TWO_FACETS as a child process, so that a regression
+    fails on the timeout instead of hanging the suite."""
+    p = tmp_path / "two_facets.cplx"
+    p.write_text(TWO_FACETS)
+    src = str(Path(spectral_delta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+    return subprocess.run(
+        [sys.executable, "-m", "spectral_delta.cli", argv[0], str(p),
+         *argv[1:]], capture_output=True, text=True, timeout=60, env=env)
+
+
 @pytest.mark.parametrize("field,label", [("z", "Z"), ("q", "Q"),
                                          ("f2", "F2")])
 def test_homology_of_two_disjoint_large_facets_finishes(tmp_path, field,
                                                         label):
-    # 92 bytes, but 32,766 faces and boundary maps of up to 6,864
-    # columns; the dense kernels alone did not finish in a minute.  Run
-    # as a child process, so that a regression fails on the timeout
-    # instead of hanging the suite.
-    p = tmp_path / "two_facets.cplx"
-    p.write_text("n 28\nfacet " + " ".join(map(str, range(1, 15)))
-                 + "\nfacet " + " ".join(map(str, range(15, 29))) + "\n")
-    src = str(Path(spectral_delta.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
-    done = subprocess.run(
-        [sys.executable, "-m", "spectral_delta.cli", "homology", str(p),
-         "--field", field],
-        capture_output=True, text=True, timeout=60, env=env)
+    # boundary maps of up to 6,864 columns; the dense kernels alone did
+    # not finish in a minute
+    done = run_child(tmp_path, "homology", "--field", field)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ", ".join(
         [f"H~0: {label}"] + [f"H~{i}: 0" for i in range(1, 14)])
+
+
+def test_face_ideal_of_two_disjoint_large_facets_finishes(tmp_path):
+    # the minimal nonfaces are the 196 edges across the two facets; a
+    # scan of all 2**28 vertex subsets would not finish
+    done = run_child(tmp_path, "sr")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "n 28\n" + "".join(
+        f"generator {i} {j}\n" for i in range(1, 15) for j in range(15, 29))
+    done = run_child(tmp_path, "dual")
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 1 + 196

@@ -22,6 +22,7 @@ from spectral_delta.checks import enumerate_complexes, random_complexes
 from oracles import (
     brute_dual_faces,
     brute_link_faces,
+    brute_minimal_nonfaces,
     brute_nerve_faces,
     brute_restriction_faces,
     face_set,
@@ -167,6 +168,17 @@ def test_minimal_nonfaces(hollow_triangle):
     assert minimal_nonfaces(make_complex(2, [(1,), (2,)])) == [(1, 2)]
     assert minimal_nonfaces(make_complex(2, [], include_empty=True)) \
         == [(1,), (2,)]
+
+
+def test_minimal_nonfaces_match_the_subset_scan():
+    corpus = ([K for n in range(1, 6) for K in enumerate_complexes(n)]
+              + [make_complex(n, [], include_empty=e)
+                 for n in range(5) for e in (False, True)]
+              + [full_simplex(n) for n in range(5)]
+              + random_complexes(8, 1, 60))
+    for K in corpus:
+        assert minimal_nonfaces(K) == brute_minimal_nonfaces(K.n, K.facets), \
+            K
 
 
 def test_dual_of_hollow_triangle_is_irrelevant(hollow_triangle):

@@ -114,6 +114,9 @@ def test_complex_json_validation():
         complex_from_json({"n": "three", "facets": []})
     with pytest.raises(FormatError):
         complex_from_json([1, 2])
+    for facets in (5, [1], [[1, "a"]], [[True]]):
+        with pytest.raises(FormatError):
+            complex_from_json({"n": 2, "facets": facets})
 
 
 def test_complex_json_merge_notice():

@@ -1,5 +1,6 @@
 """Squarefree monomial dictionary: generators, primes, and the derived complex."""
 
+import random
 import warnings
 
 import pytest
@@ -23,6 +24,8 @@ from spectral_delta import (
     sr_generators,
 )
 from spectral_delta.checks import enumerate_complexes
+
+from oracles import face_set, subsets
 
 
 def test_generators_of_hollow_triangle(hollow_triangle):
@@ -60,6 +63,28 @@ def test_generator_round_trip_is_identity():
             assert SimplicialComplex(C.n, C.facets) == C == K
     V = complex_from_generators(SRGenerators(2, ((),)))
     assert V.is_void and V.n == 2
+
+
+def test_complex_from_generators_matches_the_subset_scan():
+    # SRGenerators does not validate, so the families may hold the empty
+    # generator, duplicates, generators that contain other ones and
+    # generators with a vertex outside 1..n
+    rng = random.Random(5)
+    families = [SRGenerators(3, ()), SRGenerators(3, ((),)),
+                SRGenerators(0, ()), SRGenerators(3, ((1,), (1, 2), (2, 3))),
+                SRGenerators(2, ((1, 3), (2,))), SRGenerators(2, ((3,),))]
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        families.append(SRGenerators(n, tuple(
+            tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
+            for _ in range(rng.randint(0, 6)))))
+    for g in families:
+        K = complex_from_generators(g)
+        assert SimplicialComplex(K.n, K.facets) == K
+        assert K.n == g.ambient
+        assert face_set(K.n, K.facets) == {
+            s for s in subsets(range(1, g.ambient + 1))
+            if not any(set(x) <= set(s) for x in g.generators)}, g
 
 
 def test_minimal_primes_are_facet_complements_in_facet_order(hollow_triangle):
