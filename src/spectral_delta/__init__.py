@@ -61,17 +61,31 @@ from .checks import (
     sweep,
 )
 from .fixtures import rp2_complex, rp2_self_check
+from .complexes import _dual
+from .depth import _link_unless_cone
+from .homology import _reduced_cached, _reduction
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every memo table of the library.  Each is a bounded
+    `functools.lru_cache`; values cached on a complex itself live and go
+    with that complex."""
+    for memo in (_dual, _reduction, _reduced_cached, sr_generators,
+                 nerve_of_facets, delta_of_primes, delta_of_complex,
+                 _link_unless_cone, depth, hochster_betti_table):
+        memo.cache_clear()
+
 
 __all__ = [
     "BettiTable", "CHECK_IDS", "CheckOutcome", "DegenerateDualWarning",
     "DepthReport", "FieldSpec", "HomologyProfile", "IntMatrix", "PrimeFamily",
     "Q", "SRGenerators", "SimplicialComplex", "Simplex", "SnfResult",
     "SweepReport", "Z", "alexander_dual", "boundary_matrix", "clean_face",
-    "complex_from_generators", "delta_of_complex", "delta_of_primes", "depth",
-    "enumerate_complexes", "euler_characteristic", "f_vector", "full_simplex",
-    "hochster_betti_table", "link",
+    "clear_caches", "complex_from_generators", "delta_of_complex",
+    "delta_of_primes", "depth", "enumerate_complexes", "euler_characteristic",
+    "f_vector", "full_simplex", "hochster_betti_table", "link",
     "make_complex", "minimal_nonfaces", "minimal_primes", "nerve",
     "nerve_of_facets", "random_complexes", "reduced_euler_characteristic",
     "reduced_homology", "relative_homology", "restriction", "rp2_complex",

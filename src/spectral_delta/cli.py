@@ -63,8 +63,9 @@ def _emit_notices(notices, path):
         print(f"notice: {path}: {note}", file=sys.stderr)
 
 
-def _load_complex(path: str) -> SimplicialComplex:
-    text = _read(path)
+def _load_complex(path: str, text: str | None = None) -> SimplicialComplex:
+    if text is None:
+        text = _read(path)
     try:
         if text.lstrip().startswith("{"):
             K, notices = complex_from_json(json.loads(text))
@@ -125,27 +126,23 @@ def cmd_depth(args) -> int:
 
 def cmd_delta(args) -> int:
     text = _read(args.input)
+    fam = None
     try:
-        if text.lstrip().startswith("{"):
-            obj = json.loads(text)
-            if "primes" in obj:
-                fam, notices = primes_from_json(obj)
-                _emit_notices(notices, args.input)
-                result = delta_of_primes(fam)
-            else:
-                K, notices = complex_from_json(obj)
-                _emit_notices(notices, args.input)
-                result = delta_of_complex(K)
-        elif sniff_kind(text) == "primes":
+        obj = json.loads(text) if text.lstrip().startswith("{") else None
+        if obj is None and sniff_kind(text) == "primes":
             fam, notices = parse_primes_text(text)
+        elif obj is not None and "primes" in obj:
+            fam, notices = primes_from_json(obj)
+    except (FormatError, json.JSONDecodeError) as exc:
+        raise UsageError(f"{args.input}: {exc}")
+    except ValueError as exc:  # the checks of PrimeFamily itself
+        raise UsageError(str(exc))
+    try:
+        if fam is None:
+            result = delta_of_complex(_load_complex(args.input, text))
+        else:
             _emit_notices(notices, args.input)
             result = delta_of_primes(fam)
-        else:
-            K, notices = parse_complex_text(text)
-            _emit_notices(notices, args.input)
-            result = delta_of_complex(K)
-    except FormatError as exc:
-        raise UsageError(f"{args.input}: {exc}")
     except ValueError as exc:
         raise UsageError(str(exc))
     _print_complex(result, args.json)

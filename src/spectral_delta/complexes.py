@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -263,6 +263,11 @@ def alexander_dual(K: SimplicialComplex) -> SimplicialComplex:
     elif K.is_full_simplex:
         warnings.warn("dual of the full simplex is the void complex",
                       DegenerateDualWarning, stacklevel=2)
+    return _dual(K)
+
+
+@lru_cache(maxsize=1 << 16)
+def _dual(K: SimplicialComplex) -> SimplicialComplex:
     full = (1 << K.n) - 1
     # the facets are the complements of the minimal nonfaces; the void
     # complex has one, the empty set, and the full simplex has none

@@ -145,16 +145,27 @@ def depth(K: SimplicialComplex, coeff: FieldSpec,
     for face in K.faces():
         if len(face) >= d:
             break
-        m = _mask(face)
-        common = -1
-        for fm in K.facet_masks:
-            if m | fm == fm:
-                common &= fm
-        if common != m:
-            # a vertex outside the face lies in every facet through it, so
-            # the link is a cone and has no reduced homology
+        lk = _link_unless_cone(K, face)
+        if lk is None:
             continue
-        entries = reduced_homology(link(K, face), coeff).entries
+        entries = reduced_homology(lk, coeff).entries
         if entries:
             d = min(d, len(face) + 1 + entries[0][0])
     return DepthReport(coeff, K.n, K.n - d, d, krull, d == krull)
+
+
+@lru_cache(maxsize=1 << 16)
+def _link_unless_cone(K: SimplicialComplex,
+                      face: Simplex) -> SimplicialComplex | None:
+    """The link of `face` in K, or None when it is a cone; shared by the
+    depth walks over every field."""
+    m = _mask(face)
+    common = -1
+    for fm in K.facet_masks:
+        if m | fm == fm:
+            common &= fm
+    if common != m:
+        # a vertex outside the face lies in every facet through it, so
+        # the link is a cone and has no reduced homology
+        return None
+    return link(K, face)

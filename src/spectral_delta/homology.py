@@ -1,14 +1,17 @@
 """Reduced and relative simplicial homology with exact coefficients.
 
-Both come from one chain-complex kernel.  For reduced homology the
-chain complex is augmented: degree -1 is spanned by the empty face,
-so the irrelevant complex has one nonzero group, in degree -1.  Each
-boundary map is built as sparse columns and first has its +-1 pivots
-cleared by unimodular column operations; only the leftover goes to a
-dense kernel.  Integer homology reports free rank plus elementary
-divisors (torsion) from Smith form; field homology reports Betti
-dimensions computed by exact rank over Q (Bareiss) or F_p (modular
-elimination), never by reduction of the integral answer.
+Both come from one chain-complex kernel in two steps.  The first is
+coefficient-free: each boundary map is built as sparse columns and has
+its +-1 pivots cleared by unimodular column operations, leaving per
+degree the face count, the pivot count and a dense leftover.  Reduced
+homology memoises this reduction once per complex, so Z, Q and every
+F_p share it.  The second step is per coefficient and sees only the
+leftovers: integer homology reports free rank plus elementary divisors
+(torsion) from Smith form; field homology reports Betti dimensions
+computed by exact rank over Q (Bareiss) or F_p (modular elimination),
+never by reduction of the integral answer.  For reduced homology the
+chain complex is augmented: degree -1 is spanned by the empty face, so
+the irrelevant complex has one nonzero group, in degree -1.
 """
 
 from __future__ import annotations
@@ -205,19 +208,33 @@ def _boundary_columns(lower: Sequence[Simplex],
     return cols
 
 
-def _homology(basis: Mapping[int, Sequence[Simplex]],
-              coeff: FieldSpec) -> HomologyProfile:
-    """Homology of the chain complex spanned in degree i by basis[i], an
-    ordered face list, with the simplicial boundary.  Each boundary map
-    first has its +-1 pivots cleared sparsely; the dense kernel (Smith
-    divisors over Z, exact rank over a field) sees only what is left."""
-    ranks: dict[int, int] = {}
-    torsion: dict[int, tuple[int, ...]] = {}
+# per degree i: (i, number of i-faces, unit pivots of the boundary map
+# out of degree i, the dense leftover of that map as a tuple of rows)
+Reduction = tuple[tuple[int, int, int, tuple[tuple[int, ...], ...]], ...]
+
+
+def _reduce(basis: Mapping[int, Sequence[Simplex]]) -> Reduction:
+    """The coefficient-free part of the homology of the chain complex
+    spanned in degree i by basis[i], an ordered face list, with the
+    simplicial boundary: each boundary map has its +-1 pivots cleared
+    sparsely, which is unimodular and so valid over every coefficient
+    system at once."""
+    out = []
     for i, upper in basis.items():
         lower = basis.get(i - 1)
-        if not lower or not upper:
-            continue
-        pivots, rest = _eliminate_unit_pivots(_boundary_columns(lower, upper))
+        pivots, rest = (_eliminate_unit_pivots(_boundary_columns(lower, upper))
+                        if lower and upper else (0, ()))
+        out.append((i, len(upper), pivots, tuple(map(tuple, rest))))
+    return tuple(out)
+
+
+def _homology(reduction: Reduction, coeff: FieldSpec) -> HomologyProfile:
+    """Finish a reduction over `coeff`: the dense kernel (Smith divisors
+    over Z, exact rank over a field) sees only the leftovers, so with no
+    leftover the free ranks are the answer for every coefficient."""
+    ranks: dict[int, int] = {}
+    torsion: dict[int, tuple[int, ...]] = {}
+    for i, _, pivots, rest in reduction:
         ranks[i] = pivots
         if not rest:
             continue
@@ -230,10 +247,16 @@ def _homology(basis: Mapping[int, Sequence[Simplex]],
             ranks[i] += rational_rank(rest, m, n)
         else:
             ranks[i] += mod_p_rank(rest, m, n, coeff.p)
-    groups = {i: (len(faces) - ranks.get(i, 0) - ranks.get(i + 1, 0),
-                  torsion.get(i, ()))
-              for i, faces in basis.items()}
+    groups = {i: (faces - ranks[i] - ranks.get(i + 1, 0), torsion.get(i, ()))
+              for i, faces, _, _ in reduction}
     return HomologyProfile.from_groups(coeff, groups)
+
+
+@lru_cache(maxsize=1 << 16)
+def _reduction(K: SimplicialComplex) -> Reduction:
+    """The augmented chain complex of K (degrees -1..dim), reduced once
+    for all coefficient systems."""
+    return _reduce({i: K.faces_of_dim(i) for i in range(-1, K.dimension + 1)})
 
 
 @lru_cache(maxsize=1 << 17)
@@ -244,8 +267,7 @@ def _reduced_cached(K: SimplicialComplex, coeff: FieldSpec) -> HomologyProfile:
         # a vertex common to all facets makes the complex a cone, which is
         # contractible: every reduced group vanishes
         return HomologyProfile(coeff)
-    return _homology({i: K.faces_of_dim(i)
-                      for i in range(-1, K.dimension + 1)}, coeff)
+    return _homology(_reduction(K), coeff)
 
 
 def reduced_homology(K: SimplicialComplex, coeff: FieldSpec) -> HomologyProfile:
@@ -273,5 +295,6 @@ def relative_homology(L: SimplicialComplex, K: SimplicialComplex,
     for f in K.facets:
         if f and not L.is_face(f):
             raise ValueError(f"{f} is a facet of K but not a face of L")
-    return _homology({i: [f for f in L.faces_of_dim(i) if not K.is_face(f)]
-                      for i in range(0, L.dimension + 1)}, coeff)
+    return _homology(_reduce({i: [f for f in L.faces_of_dim(i)
+                                  if not K.is_face(f)]
+                              for i in range(0, L.dimension + 1)}), coeff)

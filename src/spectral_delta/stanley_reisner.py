@@ -84,6 +84,7 @@ class SRGenerators:
         return len(self.generators)
 
 
+@lru_cache(maxsize=1 << 16)
 def sr_generators(K: SimplicialComplex) -> SRGenerators:
     """Minimal monomial generators of the face ideal: the minimal nonfaces
     of K, sorted by size then lexicographically."""
@@ -147,6 +148,7 @@ def delta_of_complex(K: SimplicialComplex) -> SimplicialComplex:
     return delta_of_primes(minimal_primes(K))
 
 
+@lru_cache(maxsize=1 << 16)
 def nerve_of_facets(K: SimplicialComplex) -> SimplicialComplex:
     """Nerve of the facet cover of a non-void complex."""
     if K.is_void:

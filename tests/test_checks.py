@@ -9,10 +9,11 @@ from spectral_delta import (
     FieldSpec,
     Q,
     Z,
+    clear_caches,
     full_simplex,
     make_complex,
 )
-from spectral_delta import checks
+from spectral_delta import checks, homology
 from spectral_delta.checks import (
     CHECK_IDS,
     CheckOutcome,
@@ -337,3 +338,28 @@ def test_resolve_threads_env_interaction(monkeypatch):
     monkeypatch.delenv("SPECTRAL_DELTA_THREADS")
     with pytest.raises(ValueError):
         resolve_threads(0)
+
+
+def test_one_elimination_per_complex_for_all_coefficients(monkeypatch, rp2):
+    calls = []
+    eliminate = homology._eliminate_unit_pivots
+
+    def counting(cols):
+        calls.append(1)
+        return eliminate(cols)
+
+    # where the homology kernel looks it up
+    monkeypatch.setattr(homology, "_eliminate_unit_pivots", counting)
+
+    def eliminations(K, coeffs):
+        clear_caches()
+        calls.clear()
+        run_instance(K, CHECK_IDS, coeffs)
+        return len(calls)
+
+    total = 0
+    for K in [rp2] + random_complexes(8, 1, 20):
+        one = eliminations(K, (Q,))
+        assert eliminations(K, (Z, Q, F2, F3)) <= one, K.facets
+        total += one
+    assert total > 0

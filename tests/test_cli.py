@@ -123,6 +123,26 @@ def test_delta_rejects_malformed_json_prime_family(capsys, tmp_path, family,
     assert (code, out, err) == (2, "", f"error: {message.format(path=p)}\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    # input errors name the file, as under every other verb
+    ('{"n": 2, "facets": [[3]]}', "{path}: vertex 3 out of range 1..2"),
+    ('{"n": 2, "facets": [[1, 2]',
+     "{path}: Expecting ',' delimiter: line 1 column 27 (char 26)"),
+    ('{"n": 2, "primes": [[1]]',
+     "{path}: Expecting ',' delimiter: line 1 column 25 (char 24)"),
+    # errors of the computation keep their text
+    ('{"n": 0, "facets": [[]]}', "ambient variable count must be at least 1"),
+    ("n 21\n" + "".join(f"prime {i}\n" for i in range(1, 22)),
+     "family has 21 primes; limit is 20"),
+])
+def test_delta_names_the_file_in_input_errors(capsys, tmp_path, text,
+                                              message):
+    p = tmp_path / "in.txt"
+    p.write_text(text)
+    code, out, err = run(capsys, "delta", str(p))
+    assert (code, out, err) == (2, "", f"error: {message.format(path=p)}\n")
+
+
 @pytest.mark.parametrize("obj,message", [
     ({"n": 2, "facets": [[3]]}, "vertex 3 out of range 1..2"),
     ({"n": 2, "facets": [["a"]]}, "vertex 'a' out of range 1..2"),

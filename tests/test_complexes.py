@@ -218,6 +218,16 @@ def test_dual_degenerate_inputs_warn():
     assert D.is_full_simplex and D.n == 2
 
 
+def test_dual_warns_on_every_call():
+    # the dual is memoised; the warning must not be
+    for K in (make_complex(3, []), full_simplex(3)):
+        duals = []
+        for _ in range(2):
+            with pytest.warns(DegenerateDualWarning):
+                duals.append(alexander_dual(K))
+        assert duals[0] == duals[1]
+
+
 def test_nerve_of_hollow_triangle_facets():
     N = nerve([(1, 2), (1, 3), (2, 3)])
     assert N.n == 3

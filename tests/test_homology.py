@@ -10,6 +10,7 @@ from spectral_delta import (
     Q,
     Z,
     boundary_matrix,
+    clear_caches,
     full_simplex,
     make_complex,
     reduced_euler_characteristic,
@@ -18,7 +19,7 @@ from spectral_delta import (
 )
 from spectral_delta.checks import enumerate_complexes, random_complexes
 from spectral_delta.fixtures import rp2_complex
-from spectral_delta.homology import HomologyProfile
+from spectral_delta.homology import HomologyProfile, _reduction
 from spectral_delta.linalg import (IntMatrix, mod_p_rank, rational_rank,
                                    snf_diagonal)
 
@@ -187,6 +188,31 @@ def test_sparse_route_matches_the_dense_kernels(rp2):
         for coeff in (Z, Q, F2, F3):
             assert (reduced_homology(K, coeff)
                     == _dense_reduced_homology(K, coeff)), (K.facets, coeff)
+
+
+def test_shared_reduction_never_mixes_coefficients(rp2):
+    complexes = [rp2, make_complex(9, KLEIN_BOTTLE),
+                 _rp2_join_tetrahedron_boundary()]
+    skel = make_complex(6, [f for f in rp2.faces() if len(f) == 2])
+    coeffs = (Z, Q, F2, F3)
+
+    def relative():
+        return [relative_homology(rp2, skel, c) for c in coeffs]
+
+    before = relative()
+    assert before == [HomologyProfile(c, ((2, 10, ()),)) for c in coeffs]
+    for K in complexes:
+        # the per-coefficient step only matters where a leftover is left
+        assert any(rest for _, _, _, rest in _reduction(K))
+        cold = {}
+        for c in coeffs:
+            clear_caches()
+            cold[c] = reduced_homology(K, c)
+        assert cold == {c: _dense_reduced_homology(K, c) for c in coeffs}
+        for order in (coeffs, coeffs[::-1]):
+            clear_caches()
+            assert {c: reduced_homology(K, c) for c in order} == cold
+        assert relative() == before
 
 
 def test_field_homology_not_requested_from_integers():
