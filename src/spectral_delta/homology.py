@@ -3,15 +3,24 @@
 Both come from one chain-complex kernel in two steps.  The first is
 coefficient-free: each boundary map is built as sparse columns and has
 its +-1 pivots cleared by unimodular column operations, leaving per
-degree the face count, the pivot count and a dense leftover.  Reduced
-homology memoises this reduction once per complex, so Z, Q and every
-F_p share it.  The second step is per coefficient and sees only the
-leftovers: integer homology reports free rank plus elementary divisors
-(torsion) from Smith form; field homology reports Betti dimensions
-computed by exact rank over Q (Bareiss) or F_p (modular elimination),
-never by reduction of the integral answer.  For reduced homology the
-chain complex is augmented: degree -1 is spanned by the empty face, so
-the irrelevant complex has one nonzero group, in degree -1.
+degree the face count, the pivot count and a dense leftover.  The maps
+are taken from the top degree down, and the map out of degree i gets no
+column for an i-face that was a unit-pivot row one degree up (clearing,
+the twist of Chen and Kerber).  That column is redundant because
+dd = 0: the pivot column there is d(z) for an integral chain z with a
++-1 in that row, so d(d(z)) = 0 writes the cleared column as an integer
+combination of the columns of later pivot rows and of rows never
+pivoted on, and by induction from the last pivot back, of kept columns
+alone.  The image lattice, hence the Smith divisors and the rank over Q
+and every F_p, is unchanged.  Reduced homology memoises this reduction
+once per complex, so Z, Q and every F_p share it.  The second step is
+per coefficient and sees only the leftovers: integer homology reports
+free rank plus elementary divisors (torsion) from Smith form; field
+homology reports Betti dimensions computed by exact rank over Q
+(Bareiss) or F_p (modular elimination), never by reduction of the
+integral answer.  For reduced homology the chain complex is augmented:
+degree -1 is spanned by the empty face, so the irrelevant complex has
+one nonzero group, in degree -1.
 """
 
 from __future__ import annotations
@@ -218,14 +227,25 @@ def _reduce(basis: Mapping[int, Sequence[Simplex]]) -> Reduction:
     spanned in degree i by basis[i], an ordered face list, with the
     simplicial boundary: each boundary map has its +-1 pivots cleared
     sparsely, which is unimodular and so valid over every coefficient
-    system at once."""
+    system at once.
+
+    The degrees are walked from the top down, and the map out of degree
+    i is built only on the i-faces that were not unit-pivot rows of the
+    map out of degree i + 1.  By dd = 0 each skipped column lies in the
+    integer span of the kept ones (see the module docstring), so the
+    rank and the Smith divisors of every map stay those of the full
+    boundary.  The record lists the degrees in increasing order, each
+    with its full face count."""
     out = []
-    for i, upper in basis.items():
+    cleared: set[int] = set()
+    for i in sorted(basis, reverse=True):
         lower = basis.get(i - 1)
+        upper = [f for j, f in enumerate(basis[i]) if j not in cleared]
         pivots, rest = (_eliminate_unit_pivots(_boundary_columns(lower, upper))
-                        if lower and upper else (0, ()))
-        out.append((i, len(upper), pivots, tuple(map(tuple, rest))))
-    return tuple(out)
+                        if lower and upper else ([], ()))
+        out.append((i, len(basis[i]), len(pivots), tuple(map(tuple, rest))))
+        cleared = set(pivots)
+    return tuple(reversed(out))
 
 
 def _homology(reduction: Reduction, coeff: FieldSpec) -> HomologyProfile:
@@ -295,6 +315,8 @@ def relative_homology(L: SimplicialComplex, K: SimplicialComplex,
     for f in K.facets:
         if f and not L.is_face(f):
             raise ValueError(f"{f} is a facet of K but not a face of L")
-    return _homology(_reduce({i: [f for f in L.faces_of_dim(i)
-                                  if not K.is_face(f)]
-                              for i in range(0, L.dimension + 1)}), coeff)
+    basis = {}
+    for i in range(0, L.dimension + 1):
+        sub = set(K.faces_of_dim(i))
+        basis[i] = [f for f in L.faces_of_dim(i) if f not in sub]
+    return _homology(_reduce(basis), coeff)

@@ -283,7 +283,7 @@ def mod_p_rank(data: Sequence[Sequence[int]], m: int, n: int, p: int) -> int:
 
 
 def _eliminate_unit_pivots(cols: Sequence[Mapping[int, int]]
-                           ) -> tuple[int, list[list[int]]]:
+                           ) -> tuple[list[int], list[list[int]]]:
     """Clear the +-1 pivots of a sparse integer matrix.
 
     `cols` lists the columns as `{row: entry}` maps.  Each step takes the
@@ -291,13 +291,17 @@ def _eliminate_unit_pivots(cols: Sequence[Mapping[int, int]]
     entry whose row has the fewest entries (ties go to the lower index),
     clears that row with integer column operations, then drops the row
     and the column.  Every operation is unimodular over Z, so the Smith
-    divisors of the matrix are `pivots` ones followed by those of the
-    leftover, and its rank over Q or any F_p is `pivots` plus the rank
-    of the leftover.
+    divisors of the matrix are `len(pivots)` ones followed by those of
+    the leftover, and its rank over Q or any F_p is `len(pivots)` plus
+    the rank of the leftover.
 
-    Returns `(pivots, leftover)`: the leftover holds only its nonzero
-    rows and columns, as dense rows in index order, and is `[]` when
-    nothing is left.  `cols` is not modified.
+    Returns `(pivots, leftover)`.  `pivots` lists the rows pivoted on,
+    in the order of the steps, each once.  At the step on row r the
+    pivot column is an integer combination of input columns with a +-1
+    in row r and no entry in an earlier pivot row; the homology kernel
+    uses this to clear the boundary map one degree down.  The leftover
+    holds only its nonzero rows and columns, as dense rows in index
+    order, and is `[]` when nothing is left.  `cols` is not modified.
     """
     cols = [dict(col) for col in cols]
     rows: dict[int, set[int]] = {}   # row -> the columns with an entry there
@@ -314,7 +318,7 @@ def _eliminate_unit_pivots(cols: Sequence[Mapping[int, int]]
     queued = set(heap)
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
-    pivots = 0
+    pivots = []
     while heap:
         size, c = entry = pop(heap)
         queued.discard(entry)
@@ -356,7 +360,7 @@ def _eliminate_unit_pivots(cols: Sequence[Mapping[int, int]]
             if col2 and entry not in queued:
                 queued.add(entry)
                 push(heap, entry)
-        pivots += 1
+        pivots.append(r)
     live_rows = sorted(r for r, members in rows.items() if members)
     live_cols = [col for col in cols if col]
     if not live_cols:

@@ -17,6 +17,7 @@ from spectral_delta import (
     reduced_homology,
     relative_homology,
 )
+from spectral_delta import homology
 from spectral_delta.checks import enumerate_complexes, random_complexes
 from spectral_delta.fixtures import rp2_complex
 from spectral_delta.homology import HomologyProfile, _reduction
@@ -190,6 +191,42 @@ def test_sparse_route_matches_the_dense_kernels(rp2):
                     == _dense_reduced_homology(K, coeff)), (K.facets, coeff)
 
 
+def test_clearing_skips_the_unit_pivot_rows_of_the_degree_above(
+        monkeypatch, rp2):
+    calls = []
+    eliminate = homology._eliminate_unit_pivots
+
+    def recording(cols):
+        pivots, rest = eliminate(cols)
+        calls.append((len(cols), pivots))
+        return pivots, rest
+
+    monkeypatch.setattr(homology, "_eliminate_unit_pivots", recording)
+    complexes = [rp2, make_complex(9, KLEIN_BOTTLE),
+                 _rp2_join_tetrahedron_boundary(), full_simplex(6)]
+    for K in complexes:
+        clear_caches()
+        calls.clear()
+        reduction = _reduction(K)
+        # one map per degree dim..0, from the top down; degree -1 maps
+        # to nothing
+        top = K.dimension
+        assert len(calls) == top + 1
+        cleared = 0
+        for k, (received, pivots) in enumerate(calls):
+            faces = len(K.faces_of_dim(top - k))
+            assert received == faces - cleared, (K.facets, top - k)
+            assert len(set(pivots)) == len(pivots)
+            cleared = len(pivots)
+        assert sum(len(p) for _, p in calls[:-1]) > 0
+        # the record keeps increasing degree, full face counts, and the
+        # pivots the elimination reported
+        assert [(i, faces) for i, faces, _, _ in reduction] == [
+            (i, len(K.faces_of_dim(i))) for i in range(-1, top + 1)]
+        assert [pivots for _, _, pivots, _ in reduction[1:]] == [
+            len(p) for _, p in reversed(calls)]
+
+
 def test_shared_reduction_never_mixes_coefficients(rp2):
     complexes = [rp2, make_complex(9, KLEIN_BOTTLE),
                  _rp2_join_tetrahedron_boundary()]
@@ -283,6 +320,54 @@ def test_relative_homology_matches_the_mapping_cone_over_fields(rp2):
             expected = {i: b for i, b
                         in field_reduced_betti(cone, coeff.p).items() if b}
             assert mine == expected, (L.facets, K.facets, coeff.label)
+
+
+def _dense_relative_homology(L, K, coeff):
+    """Homology of the pair (L, K) from the dense kernels applied to the
+    whole quotient boundary matrices, with no sparse elimination and no
+    clearing."""
+    sub = set(K.faces())
+    basis = {i: [f for f in L.faces_of_dim(i) if f not in sub]
+             for i in range(0, L.dimension + 1)}
+    ranks, torsion = {}, {}
+    for i in range(1, L.dimension + 1):
+        index = {f: r for r, f in enumerate(basis[i - 1])}
+        rows = [[0] * len(basis[i]) for _ in basis[i - 1]]
+        for c, f in enumerate(basis[i]):
+            for j in range(len(f)):
+                r = index.get(f[:j] + f[j + 1:])
+                if r is not None:
+                    rows[r][c] = (-1) ** j
+        m, n = len(rows), len(basis[i])
+        if coeff == Z:
+            divisors = snf_diagonal(rows, m, n)
+            ranks[i] = len(divisors)
+            torsion[i - 1] = tuple(x for x in divisors if x > 1)
+        elif coeff == Q:
+            ranks[i] = rational_rank(rows, m, n)
+        else:
+            ranks[i] = mod_p_rank(rows, m, n, coeff.p)
+    groups = {i: (len(faces) - ranks.get(i, 0) - ranks.get(i + 1, 0),
+                  torsion.get(i, ()))
+              for i, faces in basis.items()}
+    return HomologyProfile.from_groups(coeff, groups)
+
+
+def test_relative_homology_matches_the_dense_quotient_kernels(rp2):
+    join = _rp2_join_tetrahedron_boundary()
+    pairs = [(join, make_complex(join.n, join.facets[:len(join.facets) // 2])),
+             (rp2, make_complex(6, [f for f in rp2.faces() if len(f) == 2]))]
+    pairs += [(L, make_complex(L.n, L.facets[::2]))
+              for L in random_complexes(7, 3, 40) if len(L.facets) >= 2][:20]
+    assert len(pairs) == 22
+    for L, K in pairs:
+        for coeff in (Z, Q, F2, F3):
+            assert (relative_homology(L, K, coeff)
+                    == _dense_relative_homology(L, K, coeff)), (
+                L.facets, K.facets, coeff.label)
+    # the join modulo half its facets keeps torsion in some degree
+    assert any(tors for _, _, tors
+               in relative_homology(*pairs[0], Z).entries)
 
 
 def test_relative_homology_with_void_subcomplex_is_unreduced():

@@ -164,7 +164,8 @@ def _sparse_columns(rows, n):
 
 def _check_elimination(rows, m, n):
     cols = _sparse_columns(rows, n)
-    pivots, rest = _eliminate_unit_pivots(cols)
+    pivot_rows, rest = _eliminate_unit_pivots(cols)
+    pivots = len(pivot_rows)
     assert cols == _sparse_columns(rows, n)  # input left as it was
     rm, rn = len(rest), len(rest[0]) if rest else 0
     assert all(any(row) for row in rest)
@@ -174,7 +175,15 @@ def _check_elimination(rows, m, n):
     for p in (2, 3):
         assert (pivots + mod_p_rank(rest, rm, rn, p)
                 == mod_p_rank(rows, m, n, p))
-    return pivots, rest
+    # the pivot rows are distinct nonzero rows of the input; a row may
+    # only reach its +-1 through column operations, but each pivot column
+    # has a +-1 in its own row and none in earlier pivot rows, so the
+    # input restricted to the pivot rows has unit Smith divisors only
+    assert len(set(pivot_rows)) == pivots
+    assert all(0 <= r < m and any(rows[r]) for r in pivot_rows)
+    assert (snf_diagonal([rows[r] for r in pivot_rows], pivots, n)
+            == [1] * pivots)
+    return pivots, rest, pivot_rows
 
 
 def test_unit_pivot_elimination_on_seeded_sparse_matrices():
@@ -188,17 +197,20 @@ def test_unit_pivot_elimination_on_seeded_sparse_matrices():
 
 
 def test_unit_pivot_elimination_keeps_a_matrix_without_units():
-    assert _check_elimination([[2, 0], [0, 2]], 2, 2) == (0, [[2, 0], [0, 2]])
-    assert _check_elimination([[0, 0, 0]], 1, 3) == (0, [])
-    assert _eliminate_unit_pivots([]) == (0, [])
+    assert (_check_elimination([[2, 0], [0, 2]], 2, 2)
+            == (0, [[2, 0], [0, 2]], []))
+    assert _check_elimination([[0, 0, 0]], 1, 3) == (0, [], [])
+    assert _eliminate_unit_pivots([]) == ([], [])
 
 
 def test_unit_pivot_elimination_on_rp2_boundaries():
     K = rp2_complex()
-    results = [_check_elimination(d.data, d.rows, d.cols)
-               for d in (boundary_matrix(K, i) for i in range(3))]
+    ds = [boundary_matrix(K, i) for i in range(3)]
+    results = [_check_elimination(d.data, d.rows, d.cols) for d in ds]
     # every invariant factor is 1 but the last one of d2, the 2 that
     # gives H1 its torsion; only that one is left for the dense kernel
-    assert [pivots for pivots, _ in results] == [1, 5, 9]
+    assert [pivots for pivots, _, _ in results] == [1, 5, 9]
     rest = results[2][1]
     assert snf_diagonal(rest, len(rest), len(rest[0])) == [2]
+    for d, (_, _, pivot_rows) in zip(ds, results):
+        assert all(any(abs(x) == 1 for x in d.data[r]) for r in pivot_rows)

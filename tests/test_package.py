@@ -1,8 +1,12 @@
 """The package namespace: what `from spectral_delta import *` exports."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import spectral_delta
 from spectral_delta import Q, Z, hochster_betti_table, rp2_complex, sweep
@@ -46,3 +50,27 @@ def test_clear_caches_empties_every_bounded_memo_table():
     spectral_delta.clear_caches()
     assert {name for name, memo in tables.items()
             if memo.cache_info().currsize} == set()
+
+
+# run with `python -S`: no site-packages on the path, so a third-party
+# import fails here even when the package happens to be installed; the
+# modules the import adds are printed before anything else is imported
+_IMPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import spectral_delta.cli
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(added))
+print(sorted(added - set(sys.stdlib_module_names) - {"spectral_delta"}))
+"""
+
+
+def test_cli_imports_only_the_standard_library():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, "-S", "-c", _IMPORT_PROBE, str(src)],
+                         capture_output=True, text=True, env=env, check=True)
+    added, foreign = out.stdout.splitlines()
+    assert "'spectral_delta'" in added
+    assert foreign == "[]"
