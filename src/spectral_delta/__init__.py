@@ -61,7 +61,7 @@ from .checks import (
     sweep,
 )
 from .fixtures import rp2_complex, rp2_self_check
-from .complexes import _dual
+from .complexes import _core, _dual
 from .depth import _link_unless_cone
 from .homology import _reduced_cached, _reduction
 
@@ -72,7 +72,7 @@ def clear_caches() -> None:
     """Empty every memo table of the library.  Each is a bounded
     `functools.lru_cache`; values cached on a complex itself live and go
     with that complex."""
-    for memo in (_dual, _reduction, _reduced_cached, sr_generators,
+    for memo in (_core, _dual, _reduction, _reduced_cached, sr_generators,
                  nerve_of_facets, delta_of_primes, delta_of_complex,
                  _link_unless_cone, depth, hochster_betti_table):
         memo.cache_clear()

@@ -230,7 +230,9 @@ def check_alexander_duality(K: SimplicialComplex,
 def check_nerve(K: SimplicialComplex, coeff: FieldSpec) -> Verdict:
     """The nerve of the facet cover has the same reduced homology as the
     complex itself (facet intersections are simplices, hence
-    contractible)."""
+    contractible).  Both sides go through the strong core, which is a
+    retract of K and not its nerve, so two different complexes are
+    still compared."""
     pk = reduced_homology(K, coeff)
     pn = reduced_homology(nerve_of_facets(K), coeff)
     if pk == pn:

@@ -24,7 +24,6 @@ from .depth import DEFAULT_VERTEX_CAP, depth
 from .fixtures import rp2_self_check
 from .homology import FieldSpec, reduced_homology
 from .serialize import (
-    FormatError,
     complex_from_json,
     complex_to_json,
     parse_complex_text,
@@ -133,10 +132,8 @@ def cmd_delta(args) -> int:
             fam, notices = parse_primes_text(text)
         elif obj is not None and "primes" in obj:
             fam, notices = primes_from_json(obj)
-    except (FormatError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # format errors and PrimeFamily's checks
         raise UsageError(f"{args.input}: {exc}")
-    except ValueError as exc:  # the checks of PrimeFamily itself
-        raise UsageError(str(exc))
     try:
         if fam is None:
             result = delta_of_complex(_load_complex(args.input, text))

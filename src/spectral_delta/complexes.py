@@ -12,9 +12,10 @@ kinds are distinguished:
 Vertices of the ambient set that appear in no face are permitted.  All
 operations are pure; complexes are immutable, hashable and comparable.
 
-Derived complexes (links, restrictions, duals, nerves) are built from
-facet bitmasks; validation runs on outside input only.  Minimal nonfaces
-and duals come from minimal transversals, not from all 2**n subsets.
+Derived complexes (links, restrictions, duals, nerves, strong cores)
+are built from facet bitmasks; validation runs on outside input only.
+Minimal nonfaces and duals come from minimal transversals, not from all
+2**n subsets.
 """
 
 from __future__ import annotations
@@ -196,6 +197,17 @@ class SimplicialComplex:
         for d in range(-1, self.dimension + 1):
             yield from self.faces_of_dim(d)
 
+    _hash = None
+
+    def __hash__(self):
+        # the value the dataclass would give, computed once per object;
+        # set as a plain attribute, which unlike a cached_property does
+        # not give the object a dict of its own.  It hashes ints only,
+        # so a copy pickled to a worker process keeps a valid value
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.n, self.facets)))
+        return self._hash
+
     def __repr__(self):
         return f"SimplicialComplex(n={self.n}, facets={list(self.facets)})"
 
@@ -273,6 +285,45 @@ def _dual(K: SimplicialComplex) -> SimplicialComplex:
     # complex has one, the empty set, and the full simplex has none
     return _from_masks(K.n, [full ^ t for t in
                              _transversals(full ^ m for m in K.facet_masks)])
+
+
+@lru_cache(maxsize=1 << 16)
+def _core(K: SimplicialComplex) -> SimplicialComplex:
+    """The strong core of K (Barmak & Minian, Strong homotopy types,
+    nerves and collapses, DCG 47, 2012), relabeled onto 1..k.
+
+    A vertex v is dominated when all facets through v share some other
+    vertex w, so the link of v is a cone with apex w.  Then K - v, the
+    faces without v, is a strong deformation retract of K: sending v to
+    w is a simplicial retraction contiguous to the identity.  Vertices
+    are deleted until none is dominated, so the core has the reduced
+    homology of K over Z, Q and every F_p, torsion included.
+    K itself comes back when nothing is deleted and every ambient
+    vertex is used, so its cached face tables are reused."""
+    masks = list(K.facet_masks)
+    support = 0
+    for m in masks:
+        support |= m
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        rest = support
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            common = -1
+            for m in masks:
+                if m & b:
+                    common &= m
+            if common != b:
+                # every other vertex keeps a facet, so only b leaves
+                masks = _maximal(m & ~b for m in masks)
+                support ^= b
+                shrunk = True
+    if support == (1 << K.n) - 1:
+        return K
+    keep = _unmask(support)
+    return _from_masks(len(keep), [_pack(m, keep) for m in masks])
 
 
 def nerve(cover: Sequence[Iterable[int]]) -> SimplicialComplex:

@@ -1,5 +1,18 @@
 """Reduced and relative simplicial homology with exact coefficients.
 
+Reduced homology is computed on the strong core of a complex, not on the
+complex itself.  Before any face or chain exists, dominated vertices are
+deleted from the facet masks: a vertex v is dominated by another vertex
+w when every facet through v contains w, so the link of v is a cone on
+w.  The vertex map sending v to w and fixing the rest is a simplicial
+retraction of K onto K - v that is contiguous to the identity (a
+simplex s through v lies in a facet through v, which contains w, so
+s and its image span a face), so K - v is a strong deformation retract
+of K (Barmak & Minian, DCG 47, 2012).  Reduced homology over Z, Q and
+every F_p, torsion included, is therefore that of the core.  Relative
+homology does not pass the core, because a strong collapse of L need
+not respect the pair (L, K).
+
 Both come from one chain-complex kernel in two steps.  The first is
 coefficient-free: each boundary map is built as sparse columns and has
 its +-1 pivots cleared by unimodular column operations, leaving per
@@ -13,7 +26,7 @@ combination of the columns of later pivot rows and of rows never
 pivoted on, and by induction from the last pivot back, of kept columns
 alone.  The image lattice, hence the Smith divisors and the rank over Q
 and every F_p, is unchanged.  Reduced homology memoises this reduction
-once per complex, so Z, Q and every F_p share it.  The second step is
+once per core, so Z, Q and every F_p share it.  The second step is
 per coefficient and sees only the leftovers: integer homology reports
 free rank plus elementary divisors (torsion) from Smith form; field
 homology reports Betti dimensions computed by exact rank over Q
@@ -29,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Simplex, SimplicialComplex, _core
 from .linalg import (IntMatrix, _eliminate_unit_pivots, mod_p_rank,
                      rational_rank, snf_diagonal)
 
@@ -275,7 +288,8 @@ def _homology(reduction: Reduction, coeff: FieldSpec) -> HomologyProfile:
 @lru_cache(maxsize=1 << 16)
 def _reduction(K: SimplicialComplex) -> Reduction:
     """The augmented chain complex of K (degrees -1..dim), reduced once
-    for all coefficient systems."""
+    for all coefficient systems; reduced homology passes the strong core
+    of a complex, so complexes with equal cores share one reduction."""
     return _reduce({i: K.faces_of_dim(i) for i in range(-1, K.dimension + 1)})
 
 
@@ -287,7 +301,7 @@ def _reduced_cached(K: SimplicialComplex, coeff: FieldSpec) -> HomologyProfile:
         # a vertex common to all facets makes the complex a cone, which is
         # contractible: every reduced group vanishes
         return HomologyProfile(coeff)
-    return _homology(_reduction(K), coeff)
+    return _homology(_reduction(_core(K)), coeff)
 
 
 def reduced_homology(K: SimplicialComplex, coeff: FieldSpec) -> HomologyProfile:

@@ -4,13 +4,20 @@ Everything in this module recomputes answers from first principles
 (subset enumeration, set-based GF(2) elimination, exact elimination
 over Q and GF(p)) without calling into the package, so a library bug
 cannot hide inside its own oracle.  Package objects passed in are only
-read for their facets, characteristic or matrix entries.
+read for their facets, characteristic or matrix entries.  The one
+exception is `dense_homology`: it builds whole boundary matrices here
+and hands them to the package's dense kernels (Smith form, rank over Q
+and F_p), the route with no strong core, no sparse elimination and no
+clearing, so it keeps the library's own homology route honest.
 Vertices are 1-based everywhere, matching the package convention.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+
+from spectral_delta.homology import HomologyProfile
+from spectral_delta.linalg import mod_p_rank, rational_rank, snf_diagonal
 
 
 def subsets(universe):
@@ -281,3 +288,56 @@ def determinant(A):
             Mi[k] = 0
         prev = piv
     return sign * M[n - 1][n - 1]
+
+
+def dense_homology(basis, coeff):
+    """Homology of the chain complex spanned in degree i by the face list
+    basis[i], with the simplicial boundary (a face missing from
+    basis[i - 1] gets no entry), from the dense kernels applied to each
+    whole boundary matrix."""
+    ranks, torsion = {}, {}
+    for i, upper in basis.items():
+        lower = basis.get(i - 1)
+        if lower is None:
+            continue
+        index = {f: r for r, f in enumerate(lower)}
+        rows = [[0] * len(upper) for _ in lower]
+        for c, f in enumerate(upper):
+            for j in range(len(f)):
+                r = index.get(f[:j] + f[j + 1:])
+                if r is not None:
+                    rows[r][c] = (-1) ** j
+        m, n = len(lower), len(upper)
+        if coeff.tag == "integers":
+            divisors = snf_diagonal(rows, m, n)
+            ranks[i] = len(divisors)
+            torsion[i - 1] = tuple(x for x in divisors if x > 1)
+        elif coeff.tag == "rationals":
+            ranks[i] = rational_rank(rows, m, n)
+        else:
+            ranks[i] = mod_p_rank(rows, m, n, coeff.p)
+    groups = {i: (len(faces) - ranks.get(i, 0) - ranks.get(i + 1, 0),
+                  torsion.get(i, ()))
+              for i, faces in basis.items()}
+    return HomologyProfile.from_groups(coeff, groups)
+
+
+def _faces_by_dim(faces):
+    by_dim = {}
+    for f in sorted(faces):
+        by_dim.setdefault(len(f) - 1, []).append(f)
+    return by_dim
+
+
+def dense_reduced_homology(K, coeff):
+    """Reduced homology of K itself: `dense_homology` of its augmented
+    chain complex, the empty face in degree -1."""
+    return dense_homology(_faces_by_dim(face_set(K.n, K.facets)), coeff)
+
+
+def dense_relative_homology(L, K, coeff):
+    """Homology of the pair (L, K): `dense_homology` of the quotient
+    chain complex, spanned by the nonempty faces of L not in K."""
+    sub = face_set(K.n, K.facets)
+    return dense_homology(_faces_by_dim(
+        f for f in face_set(L.n, L.facets) if f and f not in sub), coeff)

@@ -11,7 +11,8 @@ import time
 
 import pytest
 
-from oracles import determinant, reisner_cohen_macaulay
+from oracles import (dense_reduced_homology, determinant,
+                     reisner_cohen_macaulay)
 from spectral_delta import (
     Q,
     Z,
@@ -247,3 +248,19 @@ def test_11_pair_homology_shifts_reduced_homology_by_one(corpus5):
     _report(11, ok,
             f"{mismatched} degree mismatches over {len(corpus5)} pairs "
             f"x Z,Q,F2, {elapsed:.1f}s")
+
+
+def test_12_homology_on_the_strong_core_matches_the_dense_route(corpus8):
+    # the library reduces the strong core with sparse elimination; the
+    # oracle takes whole boundary matrices of K itself to the dense kernels
+    start = time.perf_counter()
+    mismatched = 0
+    for K in corpus8:
+        for coeff in (Z, Q, F2, F3):
+            if reduced_homology(K, coeff) != dense_reduced_homology(K, coeff):
+                mismatched += 1
+    elapsed = time.perf_counter() - start
+    ok = mismatched == 0
+    _report(12, ok,
+            f"{mismatched} mismatches over {len(corpus8)} complexes "
+            f"x Z,Q,F2,F3, {elapsed:.1f}s")

@@ -104,9 +104,10 @@ def test_delta_of_primes(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("family,message", [
-    ({"n": 2, "primes": [[3]]}, "prime (3,) outside variables 1..2"),
-    ({"n": -1, "primes": [[1]]}, "ambient variable count must be nonnegative"),
-    # format errors name the file first
+    # range and format errors alike name the file first
+    ({"n": 2, "primes": [[3]]}, "{path}: prime (3,) outside variables 1..2"),
+    ({"n": -1, "primes": [[1]]},
+     "{path}: ambient variable count must be nonnegative"),
     ({"n": 2, "primes": [["a"]]}, "{path}: bad variable 'a' in prime ['a']"),
     ({"n": "x", "primes": [[1]]}, "{path}: bad variable count 'x'"),
     ({"n": 2, "primes": 5}, "{path}: bad prime list 5"),

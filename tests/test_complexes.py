@@ -1,5 +1,7 @@
 """Combinatorial layer: construction, canonical form, duality, nerve."""
 
+import random
+
 import pytest
 
 from spectral_delta import (
@@ -7,6 +9,7 @@ from spectral_delta import (
     SimplicialComplex,
     alexander_dual,
     clean_face,
+    clear_caches,
     euler_characteristic,
     f_vector,
     full_simplex,
@@ -18,6 +21,7 @@ from spectral_delta import (
     restriction,
 )
 from spectral_delta.checks import enumerate_complexes, random_complexes
+from spectral_delta.complexes import _core
 
 from oracles import (
     brute_dual_faces,
@@ -339,3 +343,63 @@ def test_vertices_property():
     K = make_complex(4, [(1, 3)])
     assert K.vertices == (1, 3)
     assert full_simplex(3).vertices == (1, 2, 3)
+
+
+def test_hash_is_the_dataclass_value_computed_once(rp2):
+    for K in ORACLE_CORPUS + [rp2]:
+        twin = SimplicialComplex(K.n, K.facets)
+        assert hash(K) == hash(twin) == hash((K.n, K.facets))
+        assert K == twin
+        # computed on the first call, then read back
+        assert vars(K)["_hash"] == hash((K.n, K.facets))
+
+
+def _dominated(K):
+    """Vertices whose facets all share some other vertex, from the facet
+    tuples."""
+    out = []
+    for v in K.vertices:
+        through = [set(f) for f in K.facets if v in f]
+        if len(set.intersection(*through)) > 1:
+            out.append(v)
+    return out
+
+
+def _relabel(K, rng):
+    perm = list(range(1, K.n + 1))
+    rng.shuffle(perm)
+    return make_complex(K.n, [[perm[v - 1] for v in f] for f in K.facets],
+                        include_empty=K.is_irrelevant)
+
+
+def test_core_has_no_dominated_vertex(hollow_triangle, rp2):
+    complexes = ORACLE_CORPUS + random_complexes(9, 3, 60) + [rp2]
+    for K in complexes:
+        core = _core(K)
+        assert _dominated(core) == [], K.facets
+        # relabeled onto exactly the vertices it uses
+        assert core.vertices == tuple(range(1, core.n + 1)), K.facets
+        assert core.is_void == K.is_void
+    # nothing to delete and no unused vertex: K itself comes back
+    clear_caches()
+    assert _core(hollow_triangle) is hollow_triangle
+    assert _core(rp2) is rp2
+    # an unused ambient vertex is dropped
+    assert _core(make_complex(4, [(1, 2), (1, 3), (2, 3)])) == hollow_triangle
+
+
+def test_core_of_a_cone_a_path_and_a_simplex_is_one_point(hollow_triangle):
+    point = make_complex(1, [(1,)])
+    cone = make_complex(4, [f + (4,) for f in hollow_triangle.facets])
+    path = make_complex(6, [(i, i + 1) for i in range(1, 6)])
+    for K in [cone, path] + [full_simplex(k) for k in range(1, 8)]:
+        assert _core(K) == point, K.facets
+
+
+def test_core_f_vector_does_not_depend_on_the_labels(rp2):
+    # the strong core is unique up to isomorphism (Barmak and Minian)
+    rng = random.Random(5)
+    for K in random_complexes(9, 3, 60) + [rp2]:
+        expected = f_vector(_core(K))
+        for _ in range(4):
+            assert f_vector(_core(_relabel(K, rng))) == expected, K.facets

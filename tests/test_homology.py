@@ -19,12 +19,12 @@ from spectral_delta import (
 )
 from spectral_delta import homology
 from spectral_delta.checks import enumerate_complexes, random_complexes
+from spectral_delta.complexes import _core
 from spectral_delta.fixtures import rp2_complex
 from spectral_delta.homology import HomologyProfile, _reduction
-from spectral_delta.linalg import (IntMatrix, mod_p_rank, rational_rank,
-                                   snf_diagonal)
 
-from oracles import field_reduced_betti, gf2_reduced_betti
+from oracles import (dense_reduced_homology, dense_relative_homology,
+                     field_reduced_betti, gf2_reduced_betti)
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -154,26 +154,6 @@ def _rp2_join_tetrahedron_boundary():
     return make_complex(10, [f + g for f in rp2_complex().facets for g in bd])
 
 
-def _dense_reduced_homology(K, coeff):
-    """Reduced homology from the dense kernels applied to the whole
-    boundary matrices, with no sparse elimination in between."""
-    ranks, torsion = {}, {}
-    for i in range(0, K.dimension + 1):
-        d = boundary_matrix(K, i)
-        if coeff == Z:
-            divisors = snf_diagonal(d.data, d.rows, d.cols)
-            ranks[i] = len(divisors)
-            torsion[i - 1] = tuple(x for x in divisors if x > 1)
-        elif coeff == Q:
-            ranks[i] = rational_rank(d.data, d.rows, d.cols)
-        else:
-            ranks[i] = mod_p_rank(d.data, d.rows, d.cols, coeff.p)
-    groups = {i: (len(K.faces_of_dim(i)) - ranks.get(i, 0)
-                  - ranks.get(i + 1, 0), torsion.get(i, ()))
-              for i in range(-1, K.dimension + 1)}
-    return HomologyProfile.from_groups(coeff, groups)
-
-
 def test_rp2_join_keeps_its_torsion():
     K = _rp2_join_tetrahedron_boundary()
     assert reduced_homology(K, Z).entries == ((4, 0, (2,)),)
@@ -188,7 +168,7 @@ def test_sparse_route_matches_the_dense_kernels(rp2):
     for K in complexes:
         for coeff in (Z, Q, F2, F3):
             assert (reduced_homology(K, coeff)
-                    == _dense_reduced_homology(K, coeff)), (K.facets, coeff)
+                    == dense_reduced_homology(K, coeff)), (K.facets, coeff)
 
 
 def test_clearing_skips_the_unit_pivot_rows_of_the_degree_above(
@@ -227,6 +207,46 @@ def test_clearing_skips_the_unit_pivot_rows_of_the_degree_above(
             len(p) for _, p in reversed(calls)]
 
 
+def _with_pendants(K):
+    """K with a pendant edge and a pendant triangle glued on through new
+    vertices, each dominated by the face it hangs from."""
+    a, b = K.facets[0][:2]
+    return make_complex(K.n + 2, K.facets + ((a, K.n + 1), (a, b, K.n + 2)))
+
+
+def test_core_route_matches_the_dense_route_on_k_itself(rp2):
+    small = [K for n in range(1, 5) for K in enumerate_complexes(n)]
+    pendant = [_with_pendants(K) for K in (rp2, make_complex(9, KLEIN_BOTTLE),
+                                           _rp2_join_tetrahedron_boundary())]
+    for K in pendant:
+        assert _core(K).n == K.n - 2
+    for K in small + random_complexes(9, 3, 60) + pendant:
+        for coeff in (Z, Q, F2, F3):
+            assert (reduced_homology(K, coeff)
+                    == dense_reduced_homology(K, coeff)), (K.facets, coeff)
+    # the 2-torsion of RP^2, the Klein bottle and the join survives
+    assert [reduced_homology(K, Z).entries for K in pendant] == [
+        ((1, 0, (2,)),), ((1, 1, (2,)),), ((4, 0, (2,)),)]
+
+
+def test_two_disjoint_facets_reduce_on_two_points(monkeypatch):
+    # the 92-byte input: facets 1..14 and 15..28 on 28 vertices
+    K = make_complex(28, [range(1, 15), range(15, 29)])
+    assert _core(K) == make_complex(2, [(1,), (2,)])
+    received = []
+    eliminate = homology._eliminate_unit_pivots
+
+    def recording(cols):
+        received.append(len(cols))
+        return eliminate(cols)
+
+    monkeypatch.setattr(homology, "_eliminate_unit_pivots", recording)
+    clear_caches()
+    for coeff in (Z, Q, F2, F3):
+        assert reduced_homology(K, coeff).entries == ((0, 1, ()),)
+    assert received and max(received) <= 2
+
+
 def test_shared_reduction_never_mixes_coefficients(rp2):
     complexes = [rp2, make_complex(9, KLEIN_BOTTLE),
                  _rp2_join_tetrahedron_boundary()]
@@ -245,7 +265,7 @@ def test_shared_reduction_never_mixes_coefficients(rp2):
         for c in coeffs:
             clear_caches()
             cold[c] = reduced_homology(K, c)
-        assert cold == {c: _dense_reduced_homology(K, c) for c in coeffs}
+        assert cold == {c: dense_reduced_homology(K, c) for c in coeffs}
         for order in (coeffs, coeffs[::-1]):
             clear_caches()
             assert {c: reduced_homology(K, c) for c in order} == cold
@@ -322,37 +342,6 @@ def test_relative_homology_matches_the_mapping_cone_over_fields(rp2):
             assert mine == expected, (L.facets, K.facets, coeff.label)
 
 
-def _dense_relative_homology(L, K, coeff):
-    """Homology of the pair (L, K) from the dense kernels applied to the
-    whole quotient boundary matrices, with no sparse elimination and no
-    clearing."""
-    sub = set(K.faces())
-    basis = {i: [f for f in L.faces_of_dim(i) if f not in sub]
-             for i in range(0, L.dimension + 1)}
-    ranks, torsion = {}, {}
-    for i in range(1, L.dimension + 1):
-        index = {f: r for r, f in enumerate(basis[i - 1])}
-        rows = [[0] * len(basis[i]) for _ in basis[i - 1]]
-        for c, f in enumerate(basis[i]):
-            for j in range(len(f)):
-                r = index.get(f[:j] + f[j + 1:])
-                if r is not None:
-                    rows[r][c] = (-1) ** j
-        m, n = len(rows), len(basis[i])
-        if coeff == Z:
-            divisors = snf_diagonal(rows, m, n)
-            ranks[i] = len(divisors)
-            torsion[i - 1] = tuple(x for x in divisors if x > 1)
-        elif coeff == Q:
-            ranks[i] = rational_rank(rows, m, n)
-        else:
-            ranks[i] = mod_p_rank(rows, m, n, coeff.p)
-    groups = {i: (len(faces) - ranks.get(i, 0) - ranks.get(i + 1, 0),
-                  torsion.get(i, ()))
-              for i, faces in basis.items()}
-    return HomologyProfile.from_groups(coeff, groups)
-
-
 def test_relative_homology_matches_the_dense_quotient_kernels(rp2):
     join = _rp2_join_tetrahedron_boundary()
     pairs = [(join, make_complex(join.n, join.facets[:len(join.facets) // 2])),
@@ -363,7 +352,7 @@ def test_relative_homology_matches_the_dense_quotient_kernels(rp2):
     for L, K in pairs:
         for coeff in (Z, Q, F2, F3):
             assert (relative_homology(L, K, coeff)
-                    == _dense_relative_homology(L, K, coeff)), (
+                    == dense_relative_homology(L, K, coeff)), (
                 L.facets, K.facets, coeff.label)
     # the join modulo half its facets keeps torsion in some degree
     assert any(tors for _, _, tors
