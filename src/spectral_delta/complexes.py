@@ -197,6 +197,12 @@ class SimplicialComplex:
         for d in range(-1, self.dimension + 1):
             yield from self.faces_of_dim(d)
 
+    def __eq__(self, other):
+        # the dataclass one builds an (n, facets) tuple for each side
+        if other.__class__ is not SimplicialComplex:
+            return NotImplemented
+        return self.n == other.n and self.facets == other.facets
+
     _hash = None
 
     def __hash__(self):
@@ -299,7 +305,7 @@ def _core(K: SimplicialComplex) -> SimplicialComplex:
     are deleted until none is dominated, so the core has the reduced
     homology of K over Z, Q and every F_p, torsion included.
     K itself comes back when nothing is deleted and every ambient
-    vertex is used, so its cached face tables are reused."""
+    vertex is used, so its cached hash and facet masks are kept."""
     masks = list(K.facet_masks)
     support = 0
     for m in masks:

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complexes import SimplicialComplex, Simplex, _mask, link, restriction
+from .complexes import (SimplicialComplex, Simplex, _from_masks, _mask,
+                        _maximal, _pack, _unmask, link)
 from .homology import FieldSpec, reduced_homology
 
 # The Betti table walks all 2**n vertex subsets; depth keeps the same cap
@@ -88,24 +89,15 @@ class DepthReport:
                 f"dim={self.krull_dim} CM={cm}")
 
 
-def _check_feasible(K: SimplicialComplex, coeff: FieldSpec, max_n: int):
+def _check_feasible(K: SimplicialComplex, coeff: FieldSpec, max_n: int,
+                    why: str):
     if K.is_void:
         raise ValueError("the void complex has no face ring")
     if not coeff.is_field:
         raise ValueError("Betti numbers here need field coefficients")
     if K.n > max_n:
-        raise ValueError(
-            f"n = {K.n} exceeds the cap of {max_n}: the computation "
-            f"enumerates all 2**n vertex subsets (2**{K.n} restrictions); "
-            "raise max_n explicitly to proceed")
-
-
-def _subsets_by_size(n: int) -> list[tuple[int, ...]]:
-    subs = [()]
-    for m in range(1, 1 << n):
-        subs.append(tuple(v + 1 for v in range(n) if m >> v & 1))
-    subs.sort(key=lambda s: (len(s), s))
-    return subs
+        raise ValueError(f"n = {K.n} exceeds the cap of {max_n}: {why}; "
+                         "raise max_n explicitly to proceed")
 
 
 @lru_cache(maxsize=1 << 14)
@@ -113,18 +105,27 @@ def hochster_betti_table(K: SimplicialComplex, coeff: FieldSpec,
                          max_n: int = DEFAULT_VERTEX_CAP) -> BettiTable:
     """Multigraded Betti table from homology of vertex-subset restrictions.
 
-    Walks subsets W in increasing size, lexicographic within a size; the
-    restriction to W contributes its degree-j homology dimension at
-    homological degree |W| - j - 1.
+    The restriction to each vertex subset W contributes its degree-j
+    homology dimension at homological degree |W| - j - 1.
     """
-    _check_feasible(K, coeff, max_n)
+    _check_feasible(K, coeff, max_n,
+                    "the computation enumerates all 2**n vertex subsets "
+                    f"(2**{K.n} restrictions)")
+    support = _mask(K.vertices)
     raw = []
-    for W in _subsets_by_size(K.n):
-        profile = reduced_homology(restriction(K, W), coeff)
-        for deg, free, _ in profile.entries:
-            i = len(W) - deg - 1
-            if i >= 0 and free:
-                raw.append((i, W, free))
+    for w in range(1 << K.n):
+        # relabelled onto the vertices of W that it uses: homology ignores
+        # the others, and isomorphic restrictions share one memo entry
+        keep = _unmask(w & support)
+        R = _from_masks(len(keep), [_pack(m, keep) for m in
+                                    _maximal(m & w for m in K.facet_masks)])
+        entries = reduced_homology(R, coeff).entries
+        if entries:
+            W = _unmask(w)
+            for deg, free, _ in entries:
+                i = len(W) - deg - 1
+                if i >= 0 and free:
+                    raw.append((i, W, free))
     raw.sort(key=lambda e: (e[0], len(e[1]), e[1]))
     return BettiTable(K.n, coeff, tuple(raw))
 
@@ -139,7 +140,8 @@ def depth(K: SimplicialComplex, coeff: FieldSpec,
     stops there.  The irrelevant complex has depth 0 and Krull
     dimension 0, so it counts as Cohen-Macaulay.
     """
-    _check_feasible(K, coeff, max_n)
+    _check_feasible(K, coeff, max_n,
+                    "depth keeps the Betti table's cap for compatibility")
     krull = K.dimension + 1
     d = krull
     for face in K.faces():

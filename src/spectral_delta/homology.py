@@ -1,5 +1,17 @@
 """Reduced and relative simplicial homology with exact coefficients.
 
+Relative homology is reduced homology of another complex.  For a
+non-void subcomplex K of L, let L u aK be L with the cone on K glued in,
+on the vertices 1..n + 1 with the apex a = n + 1.  Its faces not in the
+cone aK are exactly the nonempty faces of L not in K, so the quotient
+of the augmented chain complex of L u aK by that of aK is the relative
+chain complex C(L, K), face for face and with the same boundary.  The
+cone is acyclic, so the long exact sequence of this quotient gives
+H_i(L, K) = H~_i(L u aK) over Z, Q and every F_p, torsion included
+(Hatcher, Algebraic Topology, Prop. 2.22).  For a void K the apex is
+an isolated vertex instead, and H~_i(L + point) is the unreduced H_i(L).
+So pairs take the one reduced path below.
+
 Reduced homology is computed on the strong core of a complex, not on the
 complex itself.  Before any face or chain exists, dominated vertices are
 deleted from the facet masks: a vertex v is dominated by another vertex
@@ -9,40 +21,39 @@ retraction of K onto K - v that is contiguous to the identity (a
 simplex s through v lies in a facet through v, which contains w, so
 s and its image span a face), so K - v is a strong deformation retract
 of K (Barmak & Minian, DCG 47, 2012).  Reduced homology over Z, Q and
-every F_p, torsion included, is therefore that of the core.  Relative
-homology does not pass the core, because a strong collapse of L need
-not respect the pair (L, K).
+every F_p, torsion included, is therefore that of the core.
 
-Both come from one chain-complex kernel in two steps.  The first is
-coefficient-free: each boundary map is built as sparse columns and has
-its +-1 pivots cleared by unimodular column operations, leaving per
-degree the face count, the pivot count and a dense leftover.  The maps
-are taken from the top degree down, and the map out of degree i gets no
-column for an i-face that was a unit-pivot row one degree up (clearing,
-the twist of Chen and Kerber).  That column is redundant because
-dd = 0: the pivot column there is d(z) for an integral chain z with a
-+-1 in that row, so d(d(z)) = 0 writes the cleared column as an integer
-combination of the columns of later pivot rows and of rows never
-pivoted on, and by induction from the last pivot back, of kept columns
-alone.  The image lattice, hence the Smith divisors and the rank over Q
-and every F_p, is unchanged.  Reduced homology memoises this reduction
-once per core, so Z, Q and every F_p share it.  The second step is
-per coefficient and sees only the leftovers: integer homology reports
-free rank plus elementary divisors (torsion) from Smith form; field
-homology reports Betti dimensions computed by exact rank over Q
-(Bareiss) or F_p (modular elimination), never by reduction of the
-integral answer.  For reduced homology the chain complex is augmented:
-degree -1 is spanned by the empty face, so the irrelevant complex has
-one nonzero group, in degree -1.
+The homology of a core comes from one chain-complex kernel in two
+steps.  The first is coefficient-free: the faces are enumerated as
+bitmasks from the facet masks, each boundary map is built as sparse
+columns and has its +-1 pivots cleared by unimodular column operations,
+leaving per degree the face count, the pivot count and a dense
+leftover.  The maps are taken from the top degree down, and the map out
+of degree i gets no column for an i-face that was a unit-pivot row one
+degree up (clearing, the twist of Chen and Kerber).  That column is
+redundant because dd = 0: the pivot column there is d(z) for an
+integral chain z with a +-1 in that row, so d(d(z)) = 0 writes the
+cleared column as an integer combination of the columns of later pivot
+rows and of rows never pivoted on, and by induction from the last pivot
+back, of kept columns alone.  The image lattice, hence the Smith
+divisors and the rank over Q and every F_p, is unchanged.  This
+reduction is memoised once per core, so Z, Q and every F_p share it.
+The second step is per coefficient and sees only the leftovers: integer
+homology reports free rank plus elementary divisors (torsion) from
+Smith form; field homology reports Betti dimensions computed by exact
+rank over Q (Bareiss) or F_p (modular elimination), never by reduction
+of the integral answer.  The chain complex is augmented: degree -1 is
+spanned by the empty face, so the irrelevant complex has one nonzero
+group, in degree -1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .complexes import Simplex, SimplicialComplex, _core
+from .complexes import SimplicialComplex, _core, _from_masks, _mask, _maximal
 from .linalg import (IntMatrix, _eliminate_unit_pivots, mod_p_rank,
                      rational_rank, snf_diagonal)
 
@@ -204,30 +215,47 @@ def boundary_matrix(K: SimplicialComplex, i: int) -> IntMatrix:
     if i < -1 or i > K.dimension + 1:
         return IntMatrix(0, 0)
     lower, upper = K.faces_of_dim(i - 1), K.faces_of_dim(i)
+    index = {_mask(f): r for r, f in enumerate(lower)}
     rows = [[0] * len(upper) for _ in lower]
-    for c, col in enumerate(_boundary_columns(lower, upper)):
+    for c, col in enumerate(_boundary_columns(index, map(_mask, upper))):
         for r, x in col.items():
             rows[r][c] = x
     return IntMatrix(len(lower), len(upper), rows)
 
 
-def _boundary_columns(lower: Sequence[Simplex],
-                      upper: Sequence[Simplex]) -> list[dict[int, int]]:
-    """Sparse boundary columns `{row: sign}`, one per `upper` face, with
-    rows indexed by `lower`; a face missing from `lower` (one of the
-    subcomplex, in a quotient) gets no entry."""
-    index = {f: r for r, f in enumerate(lower)}
+def _boundary_columns(index: Mapping[int, int],
+                      upper: Iterable[int]) -> list[dict[int, int]]:
+    """Sparse boundary columns `{row: sign}`, one per face mask in
+    `upper`, with `index` giving the row of each face one degree down.
+    Dropping the j-th lowest bit of a face gives the sign (-1)**j."""
     cols = []
-    for f in upper:
+    for m in upper:
         col = {}
         sign = 1
-        for j in range(len(f)):
-            r = index.get(f[:j] + f[j + 1:])
-            if r is not None:
-                col[r] = sign
+        rest = m
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            col[index[m ^ b]] = sign
             sign = -sign
         cols.append(col)
     return cols
+
+
+def _face_masks(K: SimplicialComplex) -> list[list[int]]:
+    """The faces of a non-void K as masks, listed by vertex count (the
+    empty face first) and in increasing order within a count: every
+    submask of every facet, each once."""
+    seen = {0}
+    for f in K.facet_masks:
+        s = f
+        while s:
+            seen.add(s)
+            s = (s - 1) & f
+    by_size: list[list[int]] = [[] for _ in range(K.dimension + 2)]
+    for m in sorted(seen):
+        by_size[m.bit_count()].append(m)
+    return by_size
 
 
 # per degree i: (i, number of i-faces, unit pivots of the boundary map
@@ -235,12 +263,13 @@ def _boundary_columns(lower: Sequence[Simplex],
 Reduction = tuple[tuple[int, int, int, tuple[tuple[int, ...], ...]], ...]
 
 
-def _reduce(basis: Mapping[int, Sequence[Simplex]]) -> Reduction:
-    """The coefficient-free part of the homology of the chain complex
-    spanned in degree i by basis[i], an ordered face list, with the
-    simplicial boundary: each boundary map has its +-1 pivots cleared
-    sparsely, which is unimodular and so valid over every coefficient
-    system at once.
+@lru_cache(maxsize=1 << 16)
+def _reduction(K: SimplicialComplex) -> Reduction:
+    """The coefficient-free part of the homology of the augmented chain
+    complex of a non-void K (degrees -1..dim), shared by every
+    coefficient system: each boundary map has its +-1 pivots cleared
+    sparsely, which is unimodular and so valid over Z, Q and every F_p
+    at once.
 
     The degrees are walked from the top down, and the map out of degree
     i is built only on the i-faces that were not unit-pivot rows of the
@@ -248,15 +277,20 @@ def _reduce(basis: Mapping[int, Sequence[Simplex]]) -> Reduction:
     integer span of the kept ones (see the module docstring), so the
     rank and the Smith divisors of every map stay those of the full
     boundary.  The record lists the degrees in increasing order, each
-    with its full face count."""
+    with its full face count.  The face masks are built here and
+    dropped; only the counts and the leftovers are kept."""
+    faces = _face_masks(K)
     out = []
     cleared: set[int] = set()
-    for i in sorted(basis, reverse=True):
-        lower = basis.get(i - 1)
-        upper = [f for j, f in enumerate(basis[i]) if j not in cleared]
-        pivots, rest = (_eliminate_unit_pivots(_boundary_columns(lower, upper))
-                        if lower and upper else ([], ()))
-        out.append((i, len(basis[i]), len(pivots), tuple(map(tuple, rest))))
+    for i in range(len(faces) - 2, -2, -1):
+        upper = [m for j, m in enumerate(faces[i + 1]) if j not in cleared]
+        pivots, rest = [], ()
+        if i >= 0 and upper:
+            index = {m: r for r, m in enumerate(faces[i])}
+            pivots, rest = _eliminate_unit_pivots(
+                _boundary_columns(index, upper))
+        out.append((i, len(faces[i + 1]), len(pivots),
+                    tuple(map(tuple, rest))))
         cleared = set(pivots)
     return tuple(reversed(out))
 
@@ -285,14 +319,6 @@ def _homology(reduction: Reduction, coeff: FieldSpec) -> HomologyProfile:
     return HomologyProfile.from_groups(coeff, groups)
 
 
-@lru_cache(maxsize=1 << 16)
-def _reduction(K: SimplicialComplex) -> Reduction:
-    """The augmented chain complex of K (degrees -1..dim), reduced once
-    for all coefficient systems; reduced homology passes the strong core
-    of a complex, so complexes with equal cores share one reduction."""
-    return _reduce({i: K.faces_of_dim(i) for i in range(-1, K.dimension + 1)})
-
-
 @lru_cache(maxsize=1 << 17)
 def _reduced_cached(K: SimplicialComplex, coeff: FieldSpec) -> HomologyProfile:
     if K.is_void:
@@ -318,9 +344,12 @@ def relative_homology(L: SimplicialComplex, K: SimplicialComplex,
                       coeff: FieldSpec) -> HomologyProfile:
     """Unreduced homology of the pair (L, K) for a subcomplex K of L.
 
-    Computed from the quotient chain complex: the basis in degree i is
-    the set of i-faces of L not in K.  K may be void, in which case this
-    is the unreduced homology of L.
+    Computed as the reduced homology of L with a cone on K glued in,
+    L u aK on the vertices 1..n + 1 with the apex a = n + 1 (see the
+    module docstring), so pairs share the strong core, the cone
+    shortcut and the memoised reduction with reduced homology.  K may
+    be void, in which case the apex is a vertex of its own and this is
+    the unreduced homology of L.
     """
     if L.n != K.n:
         raise ValueError("pair must share one ambient vertex set")
@@ -329,8 +358,7 @@ def relative_homology(L: SimplicialComplex, K: SimplicialComplex,
     for f in K.facets:
         if f and not L.is_face(f):
             raise ValueError(f"{f} is a facet of K but not a face of L")
-    basis = {}
-    for i in range(0, L.dimension + 1):
-        sub = set(K.faces_of_dim(i))
-        basis[i] = [f for f in L.faces_of_dim(i) if f not in sub]
-    return _homology(_reduce(basis), coeff)
+    apex = 1 << L.n
+    cone = [m | apex for m in K.facet_masks] or [apex]
+    return reduced_homology(
+        _from_masks(L.n + 1, _maximal([*L.facet_masks, *cone])), coeff)

@@ -1,6 +1,8 @@
 """Depth via the face-link walk, the subset-restriction Betti table as
 its second route, and the Reisner oracle."""
 
+from itertools import combinations
+
 import pytest
 
 from oracles import reisner_cohen_macaulay
@@ -8,6 +10,7 @@ from spectral_delta import (
     FieldSpec,
     Q,
     Z,
+    clear_caches,
     depth,
     full_simplex,
     hochster_betti_table,
@@ -15,6 +18,7 @@ from spectral_delta import (
     restriction,
 )
 from spectral_delta.checks import enumerate_complexes, random_complexes
+from spectral_delta.homology import _reduced_cached
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -74,6 +78,16 @@ def test_table_rejects_bad_inputs(hollow_triangle):
     t = hochster_betti_table(full_simplex(17), Q, max_n=17)
     assert t.max_degree() == 0
     assert depth(full_simplex(17), Q, max_n=17).depth == 17
+
+
+def test_table_shares_memo_entries_between_isomorphic_restrictions():
+    # every restriction of the 2-skeleton of a simplex is the 2-skeleton
+    # of a smaller simplex, so the 2**8 subsets ask for 9 complexes
+    K = make_complex(8, combinations(range(1, 9), 3))
+    clear_caches()
+    t = hochster_betti_table(K, Q)
+    assert _reduced_cached.cache_info().currsize <= 9
+    assert t.max_degree() == 5 == K.n - depth(K, Q).depth
 
 
 def test_table_json_layout(two_points):

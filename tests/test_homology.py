@@ -11,6 +11,7 @@ from spectral_delta import (
     Z,
     boundary_matrix,
     clear_caches,
+    f_vector,
     full_simplex,
     make_complex,
     reduced_euler_characteristic,
@@ -357,6 +358,62 @@ def test_relative_homology_matches_the_dense_quotient_kernels(rp2):
     # the join modulo half its facets keeps torsion in some degree
     assert any(tors for _, _, tors
                in relative_homology(*pairs[0], Z).entries)
+
+
+def test_cone_route_matches_the_dense_quotient_on_every_small_pair():
+    # every complex L on up to 3 vertices, the void one included, against
+    # every subcomplex K of L
+    kinds = set()
+    for n in (1, 2, 3):
+        complexes = [make_complex(n, []), *enumerate_complexes(n)]
+        faces = {K: set(K.faces()) for K in complexes}
+        for L in complexes:
+            for K in complexes:
+                if not faces[K] <= faces[L]:
+                    continue
+                if K.dimension < 0:
+                    kinds.add(K.kind)
+                if K.dimension == 0 and len(K.facets) == 1:
+                    kinds.add("vertex")
+                if K == L:
+                    kinds.add("L")
+                for coeff in (Z, Q, F2, F3):
+                    assert (relative_homology(L, K, coeff)
+                            == dense_relative_homology(L, K, coeff)), (
+                        n, L.facets, K.facets, coeff.label)
+    assert kinds == {"void", "irrelevant", "vertex", "L"}
+
+
+def test_two_disjoint_facets_modulo_one_reduce_on_two_points(monkeypatch):
+    # the pair of the n 28 input and one of its facets: the cone on that
+    # facet strongly collapses, so the core is two points
+    L = make_complex(28, [range(1, 15), range(15, 29)])
+    K = make_complex(28, [range(1, 15)])
+    received = []
+    eliminate = homology._eliminate_unit_pivots
+
+    def recording(cols):
+        received.append(len(cols))
+        return eliminate(cols)
+
+    monkeypatch.setattr(homology, "_eliminate_unit_pivots", recording)
+    clear_caches()
+    for coeff in (Z, Q, F2, F3):
+        assert relative_homology(L, K, coeff).entries == ((0, 1, ()),)
+    assert received and max(received) <= 2
+
+
+def test_reduction_reads_faces_from_the_facet_masks():
+    # RP^2 has no dominated vertex, so its core is the complex itself;
+    # the reduction must not build its tuple face table
+    clear_caches()
+    K = make_complex(6, rp2_complex().facets)
+    assert _core(K) is K
+    assert reduced_homology(K, Z).entries == ((1, 0, (2,)),)
+    assert "_faces_by_dim" not in vars(K)
+    for L in [K, full_simplex(5), *random_complexes(8, 4, 30)]:
+        assert [faces for _, faces, _, _ in _reduction(L)] == list(
+            f_vector(L))
 
 
 def test_relative_homology_with_void_subcomplex_is_unreduced():
