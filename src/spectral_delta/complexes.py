@@ -252,7 +252,11 @@ def restriction(K: SimplicialComplex, W: Iterable[int]) -> SimplicialComplex:
     for v in Wt:
         if v < 1 or v > K.n:
             raise ValueError(f"vertex {v} out of range 1..{K.n}")
-    return _from_masks(len(Wt), _maximal(_pack(m, Wt) for m in K.facet_masks))
+    # packing is an order isomorphism on the subsets of W, so the maximal
+    # traces can be found first and only they relabelled
+    w = _mask(Wt)
+    return _from_masks(len(Wt), [_pack(m, Wt) for m in
+                                 _maximal(m & w for m in K.facet_masks)])
 
 
 def minimal_nonfaces(K: SimplicialComplex) -> list[Simplex]:

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complexes import (SimplicialComplex, Simplex, _from_masks, _mask,
-                        _maximal, _pack, _unmask, link)
+from .complexes import (SimplicialComplex, Simplex, _mask, _unmask, link,
+                        restriction)
 from .homology import FieldSpec, reduced_homology
 
 # The Betti table walks all 2**n vertex subsets; depth keeps the same cap
@@ -114,11 +114,9 @@ def hochster_betti_table(K: SimplicialComplex, coeff: FieldSpec,
     support = _mask(K.vertices)
     raw = []
     for w in range(1 << K.n):
-        # relabelled onto the vertices of W that it uses: homology ignores
-        # the others, and isomorphic restrictions share one memo entry
-        keep = _unmask(w & support)
-        R = _from_masks(len(keep), [_pack(m, keep) for m in
-                                    _maximal(m & w for m in K.facet_masks)])
+        # restricted to the vertices of W that K uses: homology ignores the
+        # others, and isomorphic restrictions share one memo entry
+        R = restriction(K, _unmask(w & support))
         entries = reduced_homology(R, coeff).entries
         if entries:
             W = _unmask(w)
