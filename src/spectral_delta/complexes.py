@@ -15,7 +15,10 @@ operations are pure; complexes are immutable, hashable and comparable.
 Derived complexes (links, restrictions, duals, nerves, strong cores)
 are built from facet bitmasks; validation runs on outside input only.
 Minimal nonfaces and duals come from minimal transversals, not from all
-2**n subsets.
+2**n subsets.  Faces have one enumerator, `_face_masks`, which lists
+them as bitmasks by size; the chains, the depth walk, the face counts
+and the tuple views all read it, and no face table is cached on a
+complex.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 Simplex = tuple[int, ...]
@@ -87,6 +89,22 @@ def _transversals(masks: Iterable[int]) -> list[int]:
         out = keep + [t | b for t in out if not t & s for b in bits
                       if not any(k | t | b == t | b for k in keep)]
     return out
+
+
+def _face_masks(K: SimplicialComplex) -> list[list[int]]:
+    """The faces of K as masks, listed by vertex count (the empty face
+    first) and in increasing order within a count: every submask of
+    every facet, each once.  No list at all for the void complex."""
+    seen = {0} if K.facets else set()
+    for f in K.facet_masks:
+        s = f
+        while s:
+            seen.add(s)
+            s = (s - 1) & f
+    by_size: list[list[int]] = [[] for _ in range(K.dimension + 2)]
+    for m in sorted(seen):
+        by_size[m.bit_count()].append(m)
+    return by_size
 
 
 def _from_masks(n: int, masks: Iterable[int]) -> SimplicialComplex:
@@ -175,27 +193,20 @@ class SimplicialComplex:
         m = _mask(f)
         return any(m | fm == fm for fm in self.facet_masks)
 
-    @cached_property
-    def _faces_by_dim(self) -> dict[int, tuple[Simplex, ...]]:
-        if not self.facets:
-            return {}
-        seen: set[Simplex] = set()
-        for f in self.facets:
-            for k in range(len(f) + 1):
-                seen.update(combinations(f, k))
-        grouped: dict[int, list[Simplex]] = {}
-        for f in seen:
-            grouped.setdefault(len(f) - 1, []).append(f)
-        return {d: tuple(sorted(v)) for d, v in grouped.items()}
-
     def faces_of_dim(self, i: int) -> tuple[Simplex, ...]:
-        """All i-faces in lexicographic order (i = -1 gives the empty face)."""
-        return self._faces_by_dim.get(i, ())
+        """All i-faces in lexicographic order (i = -1 gives the empty face),
+        unmasked on each call.  Mask order is not lexicographic, as
+        (2, 3) = 0b0110 comes before (1, 4) = 0b1001, so they are sorted."""
+        layers = _face_masks(self)
+        if not -1 <= i < len(layers) - 1:
+            return ()
+        return tuple(sorted(map(_unmask, layers[i + 1])))
 
     def faces(self) -> Iterator[Simplex]:
-        """All faces, by increasing dimension then lexicographically."""
-        for d in range(-1, self.dimension + 1):
-            yield from self.faces_of_dim(d)
+        """All faces, by increasing dimension then lexicographically, each
+        dimension unmasked and sorted as in `faces_of_dim`."""
+        for layer in _face_masks(self):
+            yield from sorted(map(_unmask, layer))
 
     def __eq__(self, other):
         # the dataclass one builds an (n, facets) tuple for each side
@@ -356,24 +367,26 @@ def link(K: SimplicialComplex, s: Iterable[int]) -> SimplicialComplex:
     st = clean_face(s)
     if not K.is_face(st):
         raise ValueError(f"{st} is not a face of the complex")
-    m = _mask(st)
+    return _link(K, _mask(st))
+
+
+def _link(K: SimplicialComplex, m: int) -> SimplicialComplex:
+    """`link` of the face with mask m, which must be a face of K."""
     rest = _unmask(((1 << K.n) - 1) ^ m)
-    # facets through s stay an antichain once s is taken out of each
+    # facets through m stay an antichain once m is taken out of each
     return _from_masks(len(rest), [_pack(fm, rest) for fm in K.facet_masks
                                    if fm & m == m])
 
 
 def f_vector(K: SimplicialComplex) -> tuple[int, ...]:
     """Face counts (f_-1, f_0, ..., f_dim); (0,) for the void complex."""
-    if K.is_void:
-        return (0,)
-    return tuple(len(K.faces_of_dim(i)) for i in range(-1, K.dimension + 1))
+    return tuple(map(len, _face_masks(K))) or (0,)
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
     """Unreduced Euler characteristic: alternating sum over dims >= 0."""
-    return sum((-1) ** i * len(K.faces_of_dim(i))
-               for i in range(0, K.dimension + 1))
+    return sum((-1) ** i * len(layer)
+               for i, layer in enumerate(_face_masks(K)[1:]))
 
 
 def reduced_euler_characteristic(K: SimplicialComplex) -> int:

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complexes import (SimplicialComplex, Simplex, _mask, _unmask, link,
-                        restriction)
+from .complexes import (SimplicialComplex, Simplex, _face_masks, _link, _mask,
+                        _unmask, restriction)
 from .homology import FieldSpec, reduced_homology
 
 # The Betti table walks all 2**n vertex subsets; depth keeps the same cap
@@ -133,33 +133,34 @@ def depth(K: SimplicialComplex, coeff: FieldSpec,
           max_n: int = DEFAULT_VERTEX_CAP) -> DepthReport:
     """Depth report for the face ring of K over a field.
 
-    Walks the faces in order of size from the bound dim K + 1; a face at
-    least as large as the current bound cannot lower it, so the walk
-    stops there.  The irrelevant complex has depth 0 and Krull
-    dimension 0, so it counts as Cohen-Macaulay.
+    Walks the face masks layer by layer, by size, from the bound
+    dim K + 1; a face at least as large as the current bound cannot
+    lower it, so the walk stops there.  No face is unmasked: the links
+    are keyed on and built from the masks.  The irrelevant complex has
+    depth 0 and Krull dimension 0, so it counts as Cohen-Macaulay.
     """
     _check_feasible(K, coeff, max_n,
                     "depth keeps the Betti table's cap for compatibility")
     krull = K.dimension + 1
     d = krull
-    for face in K.faces():
-        if len(face) >= d:
+    for m in (m for layer in _face_masks(K) for m in layer):
+        size = m.bit_count()
+        if size >= d:
             break
-        lk = _link_unless_cone(K, face)
+        lk = _link_unless_cone(K, m)
         if lk is None:
             continue
         entries = reduced_homology(lk, coeff).entries
         if entries:
-            d = min(d, len(face) + 1 + entries[0][0])
+            d = min(d, size + 1 + entries[0][0])
     return DepthReport(coeff, K.n, K.n - d, d, krull, d == krull)
 
 
 @lru_cache(maxsize=1 << 16)
 def _link_unless_cone(K: SimplicialComplex,
-                      face: Simplex) -> SimplicialComplex | None:
-    """The link of `face` in K, or None when it is a cone; shared by the
-    depth walks over every field."""
-    m = _mask(face)
+                      m: int) -> SimplicialComplex | None:
+    """The link of the face with mask m in K, or None when it is a cone;
+    shared by the depth walks over every field."""
     common = -1
     for fm in K.facet_masks:
         if m | fm == fm:
@@ -168,4 +169,4 @@ def _link_unless_cone(K: SimplicialComplex,
         # a vertex outside the face lies in every facet through it, so
         # the link is a cone and has no reduced homology
         return None
-    return link(K, face)
+    return _link(K, m)

@@ -24,8 +24,8 @@ of K (Barmak & Minian, DCG 47, 2012).  Reduced homology over Z, Q and
 every F_p, torsion included, is therefore that of the core.
 
 The homology of a core comes from one chain-complex kernel in two
-steps.  The first is coefficient-free: the faces are enumerated as
-bitmasks from the facet masks, each boundary map is built as sparse
+steps.  The first is coefficient-free: the faces come as bitmasks
+from `complexes._face_masks`, each boundary map is built as sparse
 columns and has its +-1 pivots cleared by unimodular column operations,
 leaving per degree the face count, the pivot count and a dense
 leftover.  The maps are taken from the top degree down, and the map out
@@ -53,7 +53,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .complexes import SimplicialComplex, _core, _from_masks, _mask, _maximal
+from .complexes import (SimplicialComplex, _core, _face_masks, _from_masks,
+                        _mask, _maximal)
 from .linalg import (IntMatrix, _eliminate_unit_pivots, mod_p_rank,
                      rational_rank, snf_diagonal)
 
@@ -240,22 +241,6 @@ def _boundary_columns(index: Mapping[int, int],
             sign = -sign
         cols.append(col)
     return cols
-
-
-def _face_masks(K: SimplicialComplex) -> list[list[int]]:
-    """The faces of a non-void K as masks, listed by vertex count (the
-    empty face first) and in increasing order within a count: every
-    submask of every facet, each once."""
-    seen = {0}
-    for f in K.facet_masks:
-        s = f
-        while s:
-            seen.add(s)
-            s = (s - 1) & f
-    by_size: list[list[int]] = [[] for _ in range(K.dimension + 2)]
-    for m in sorted(seen):
-        by_size[m.bit_count()].append(m)
-    return by_size
 
 
 # per degree i: (i, number of i-faces, unit pivots of the boundary map

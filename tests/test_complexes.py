@@ -8,6 +8,7 @@ from spectral_delta import (
     DegenerateDualWarning,
     SimplicialComplex,
     alexander_dual,
+    boundary_matrix,
     clean_face,
     clear_caches,
     euler_characteristic,
@@ -121,6 +122,27 @@ def test_faces_enumeration_is_downward_closed(hollow_triangle):
     assert faces == [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
     assert hollow_triangle.faces_of_dim(0) == ((1,), (2,), (3,))
     assert hollow_triangle.faces_of_dim(2) == ()
+
+
+def test_faces_and_boundary_matrices_are_in_lexicographic_order():
+    # faces are enumerated as bitmasks, and mask order is not tuple
+    # order: (2, 3) = 0b0110 comes before (1, 4) = 0b1001
+    for K in ORACLE_CORPUS:
+        expected = sorted(face_set(K.n, K.facets), key=lambda f: (len(f), f))
+        assert list(K.faces()) == expected, K.facets
+
+        def of_dim(i):
+            return [f for f in expected if len(f) == i + 1]
+
+        for i in range(-2, K.dimension + 2):
+            assert K.faces_of_dim(i) == tuple(of_dim(i)), (K.facets, i)
+        for i in range(-1, K.dimension + 2):
+            lower, upper = of_dim(i - 1), of_dim(i)
+            rows = [[0] * len(upper) for _ in lower]
+            for c, f in enumerate(upper):
+                for j in range(len(f)):
+                    rows[lower.index(f[:j] + f[j + 1:])][c] = (-1) ** j
+            assert boundary_matrix(K, i).data == rows, (K.facets, i)
 
 
 def test_restriction_matches_brute_force_on_every_subset():

@@ -11,6 +11,7 @@ from spectral_delta import (
     Z,
     boundary_matrix,
     clear_caches,
+    depth,
     f_vector,
     full_simplex,
     make_complex,
@@ -405,12 +406,17 @@ def test_two_disjoint_facets_modulo_one_reduce_on_two_points(monkeypatch):
 
 def test_reduction_reads_faces_from_the_facet_masks():
     # RP^2 has no dominated vertex, so its core is the complex itself;
-    # the reduction must not build its tuple face table
+    # the reduction, the depth walk and the face counts enumerate face
+    # masks and leave nothing on the complex beyond its declared fields
+    # and cached properties
     clear_caches()
     K = make_complex(6, rp2_complex().facets)
     assert _core(K) is K
     assert reduced_homology(K, Z).entries == ((1, 0, (2,)),)
-    assert "_faces_by_dim" not in vars(K)
+    assert depth(K, Q).depth == 3 and depth(K, F2).depth == 2
+    assert f_vector(K) == (1, 6, 15, 10)
+    assert set(vars(K)) <= {"n", "facets", "facet_masks", "is_cone",
+                            "vertices", "_hash"}
     for L in [K, full_simplex(5), *random_complexes(8, 4, 30)]:
         assert [faces for _, faces, _, _ in _reduction(L)] == list(
             f_vector(L))
