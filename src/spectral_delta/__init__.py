@@ -73,7 +73,7 @@ def clear_caches() -> None:
     `functools.lru_cache`; values cached on a complex itself live and go
     with that complex."""
     for memo in (_core, _dual, _reduction, _reduced_cached, sr_generators,
-                 nerve_of_facets, delta_of_primes, delta_of_complex,
+                 nerve_of_facets, delta_of_complex,
                  _link_unless_cone, depth, hochster_betti_table):
         memo.cache_clear()
 

@@ -219,8 +219,8 @@ def check_alexander_duality(K: SimplicialComplex,
     pk = reduced_homology(K, coeff)
     pd = reduced_homology(alexander_dual(K), coeff)
     for j in range(-1, K.n + 1):
-        left = pk.betti(j)
-        right = pd.betti(K.n - 3 - j)
+        left = pk.free_rank(j)
+        right = pd.free_rank(K.n - 3 - j)
         if left != right:
             return {"degree": j, "betti": left, "dual_degree": K.n - 3 - j,
                     "dual_betti": right}, True
@@ -265,8 +265,8 @@ def check_uct(K: SimplicialComplex, coeff: FieldSpec) -> Verdict:
         expected = (zp.free_rank(i)
                     + sum(1 for t in zp.torsion(i) if t % p == 0)
                     + sum(1 for t in zp.torsion(i - 1) if t % p == 0))
-        if fp.betti(i) != expected:
-            return {"degree": i, "field_dim": fp.betti(i),
+        if fp.free_rank(i) != expected:
+            return {"degree": i, "field_dim": fp.free_rank(i),
                     "predicted": expected}, True
     return None, True
 

@@ -2,8 +2,10 @@
 
 Verbs: homology, depth, delta, dual, nerve, sr, link, check, sweep.
 Exit codes: 0 success, 1 a check or sweep found an unexpected failure,
-2 usage or input-format errors (with a one-line diagnostic naming the
-offending token and line).
+2 usage or input errors.  The input has one edge: `_load` reads and
+parses every file, and names the file in any reading or format error.
+The errors have one boundary: `main` prints every ValueError, from the
+CLI's own checks or the library, as the one line `error: <text>`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .serialize import (
     sniff_kind,
 )
 from .stanley_reisner import (
+    PrimeFamily,
     delta_of_complex,
     delta_of_primes,
     nerve_of_facets,
@@ -43,48 +46,39 @@ from .stanley_reisner import (
 )
 
 
-class UsageError(Exception):
-    pass
-
-
-def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+def _load(path: str, primes: bool = False):
+    """The complex in the text or JSON file at path ('-' reads standard
+    input); with primes set, the prime family when the file holds one.
+    Notices go to standard error, and errors name the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        if text.lstrip().startswith("{"):
+            obj = json.loads(text)
+            if primes and "primes" in obj:
+                found, notices = primes_from_json(obj)
+            else:
+                found, notices = complex_from_json(obj)
+        elif primes and sniff_kind(text) == "primes":
+            found, notices = parse_primes_text(text)
+        else:
+            found, notices = parse_complex_text(text)
     except OSError as exc:
-        raise UsageError(f"{path}: {exc.strerror or exc}")
-
-
-def _emit_notices(notices, path):
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+    # undecodable bytes are a ValueError; JSON nested too deep to decode
+    # raises RecursionError
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     for note in notices:
         print(f"notice: {path}: {note}", file=sys.stderr)
-
-
-def _load_complex(path: str, text: str | None = None) -> SimplicialComplex:
-    if text is None:
-        text = _read(path)
-    try:
-        if text.lstrip().startswith("{"):
-            K, notices = complex_from_json(json.loads(text))
-        else:
-            K, notices = parse_complex_text(text)
-    except ValueError as exc:  # FormatError and JSONDecodeError included
-        raise UsageError(f"{path}: {exc}")
-    _emit_notices(notices, path)
-    return K
-
-
-def _parse_field(token: str) -> FieldSpec:
-    try:
-        return FieldSpec.parse(token)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return found
 
 
 def _parse_fields(tokens: str) -> list[FieldSpec]:
-    return [_parse_field(t) for t in tokens.split(",") if t.strip()]
+    return [FieldSpec.parse(t) for t in tokens.split(",") if t.strip()]
 
 
 def _print_complex(K: SimplicialComplex, as_json: bool):
@@ -95,9 +89,8 @@ def _print_complex(K: SimplicialComplex, as_json: bool):
 
 
 def cmd_homology(args) -> int:
-    K = _load_complex(args.input)
-    coeff = _parse_field(args.field)
-    profile = reduced_homology(K, coeff)
+    K = _load(args.input)
+    profile = reduced_homology(K, FieldSpec.parse(args.field))
     if args.json:
         out = {"n": K.n}
         out.update(profile.as_json())
@@ -108,14 +101,11 @@ def cmd_homology(args) -> int:
 
 
 def cmd_depth(args) -> int:
-    K = _load_complex(args.input)
-    coeff = _parse_field(args.field)
+    K = _load(args.input)
+    coeff = FieldSpec.parse(args.field)
     if not coeff.is_field:
-        raise UsageError("depth needs field coefficients (q, f2, f3, fp:<p>)")
-    try:
-        report = depth(K, coeff, max_n=args.max_n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise ValueError("depth needs field coefficients (q, f2, f3, fp:<p>)")
+    report = depth(K, coeff, max_n=args.max_n)
     if args.json:
         print(json.dumps(report.as_json(), sort_keys=True))
     else:
@@ -124,30 +114,15 @@ def cmd_depth(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    text = _read(args.input)
-    fam = None
-    try:
-        obj = json.loads(text) if text.lstrip().startswith("{") else None
-        if obj is None and sniff_kind(text) == "primes":
-            fam, notices = parse_primes_text(text)
-        elif obj is not None and "primes" in obj:
-            fam, notices = primes_from_json(obj)
-    except ValueError as exc:  # format errors and PrimeFamily's checks
-        raise UsageError(f"{args.input}: {exc}")
-    try:
-        if fam is None:
-            result = delta_of_complex(_load_complex(args.input, text))
-        else:
-            _emit_notices(notices, args.input)
-            result = delta_of_primes(fam)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    _print_complex(result, args.json)
+    found = _load(args.input, primes=True)
+    delta = (delta_of_primes if isinstance(found, PrimeFamily)
+             else delta_of_complex)
+    _print_complex(delta(found), args.json)
     return 0
 
 
 def cmd_dual(args) -> int:
-    K = _load_complex(args.input)
+    K = _load(args.input)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         dual = alexander_dual(K)
@@ -159,21 +134,12 @@ def cmd_dual(args) -> int:
 
 
 def cmd_nerve(args) -> int:
-    K = _load_complex(args.input)
-    try:
-        result = nerve_of_facets(K)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    _print_complex(result, args.json)
+    _print_complex(nerve_of_facets(_load(args.input)), args.json)
     return 0
 
 
 def cmd_sr(args) -> int:
-    K = _load_complex(args.input)
-    try:
-        gens = sr_generators(K)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    gens = sr_generators(_load(args.input))
     if args.json:
         print(json.dumps(generators_to_json(gens), sort_keys=True))
     else:
@@ -181,26 +147,24 @@ def cmd_sr(args) -> int:
     return 0
 
 
-def cmd_link(args) -> int:
-    K = _load_complex(args.input)
-    tokens = [t for t in args.face.split(",") if t.strip()]
+def _parse_face(spec: str) -> tuple[int, ...]:
     try:
-        face = tuple(int(t) for t in tokens)
+        return tuple(int(t) for t in spec.split(",") if t.strip())
     except ValueError:
-        raise UsageError(f"bad face {args.face!r}: expected comma-separated "
-                         "vertex ids")
-    try:
-        result = link(K, face)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    _print_complex(result, args.json)
+        raise ValueError(f"bad face {spec!r}: expected comma-separated "
+                         "vertex ids") from None
+
+
+def cmd_link(args) -> int:
+    K = _load(args.input)
+    _print_complex(link(K, _parse_face(args.face)), args.json)
     return 0
 
 
 def cmd_check(args) -> int:
     if args.fixture:
         if args.fixture != "rp2":
-            raise UsageError(f"unknown fixture {args.fixture!r}")
+            raise ValueError(f"unknown fixture {args.fixture!r}")
         results = rp2_self_check()
         if args.json:
             print(json.dumps([{"check": name, "passed": ok, "detail": detail}
@@ -211,14 +175,10 @@ def cmd_check(args) -> int:
                       f"{'pass' if ok else 'FAIL'} ({detail})")
         return 0 if all(ok for _, ok, _ in results) else 1
     if not args.input:
-        raise UsageError("check needs an input file or --fixture rp2")
-    K = _load_complex(args.input)
-    check_ids = _resolve_checks(args.checks)
-    coeffs = _parse_fields(args.fields)
-    try:
-        outcomes = run_instance(K, check_ids, coeffs)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise ValueError("check needs an input file or --fixture rp2")
+    K = _load(args.input)
+    outcomes = run_instance(K, _resolve_checks(args.checks),
+                            _parse_fields(args.fields))
     if args.json:
         print(json.dumps([o.as_json() for o in outcomes]))
     else:
@@ -239,7 +199,7 @@ def _resolve_checks(spec: str) -> list[str]:
     ids = [t.strip() for t in spec.split(",") if t.strip()]
     for cid in ids:
         if cid not in CHECK_IDS:
-            raise UsageError(f"unknown check {cid!r} "
+            raise ValueError(f"unknown check {cid!r} "
                              f"(known: {', '.join(CHECK_IDS)})")
     return ids
 
@@ -254,11 +214,8 @@ def cmd_sweep(args) -> int:
     if mode == "random":
         kwargs["seed"] = args.seed
         kwargs["count"] = args.count
-    try:
-        report = sweep(args.n, mode=mode, coeffs=coeffs,
-                       check_ids=check_ids, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = sweep(args.n, mode=mode, coeffs=coeffs, check_ids=check_ids,
+                   **kwargs)
     if args.json:
         body = report.body_json()
         body["elapsed_seconds"] = round(report.elapsed, 3)
@@ -361,11 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

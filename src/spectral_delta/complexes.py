@@ -52,13 +52,12 @@ def _mask(face: Simplex) -> int:
 
 
 def _unmask(m: int) -> Simplex:
+    # one step per set bit, so a single high vertex costs one step
     out = []
-    v = 1
     while m:
-        if m & 1:
-            out.append(v)
-        m >>= 1
-        v += 1
+        b = m & -m
+        out.append(b.bit_length())
+        m ^= b
     return tuple(out)
 
 
@@ -84,11 +83,22 @@ def _transversals(masks: Iterable[int]) -> list[int]:
     contains a set that meets the mask; no two grown sets nest."""
     out = [0]
     for s in masks:
-        bits = [1 << b for b in range(s.bit_length()) if s >> b & 1]
+        bits = [1 << (v - 1) for v in _unmask(s)]
         keep = [t for t in out if t & s]
         out = keep + [t | b for t in out if not t & s for b in bits
                       if not any(k | t | b == t | b for k in keep)]
     return out
+
+
+def _common(masks: Iterable[int], m: int) -> int:
+    """The intersection of the masks that contain m; -1 when none does.
+    Over the facets of K and a face m, each bit it has beyond m is a
+    cone apex of the link of m, and for m = 0 of K itself."""
+    common = -1
+    for fm in masks:
+        if m | fm == fm:
+            common &= fm
+    return common
 
 
 def _face_masks(K: SimplicialComplex) -> list[list[int]]:
@@ -169,14 +179,7 @@ class SimplicialComplex:
     @cached_property
     def is_cone(self) -> bool:
         """True when some vertex lies in every facet (hence contractible)."""
-        if self.kind != NONEMPTY:
-            return False
-        common = self.facet_masks[0]
-        for m in self.facet_masks[1:]:
-            common &= m
-            if not common:
-                return False
-        return True
+        return self.kind == NONEMPTY and _common(self.facet_masks, 0) != 0
 
     @cached_property
     def vertices(self) -> Simplex:
@@ -332,11 +335,7 @@ def _core(K: SimplicialComplex) -> SimplicialComplex:
         while rest:
             b = rest & -rest
             rest ^= b
-            common = -1
-            for m in masks:
-                if m & b:
-                    common &= m
-            if common != b:
+            if _common(masks, b) != b:
                 # every other vertex keeps a facet, so only b leaves
                 masks = _maximal(m & ~b for m in masks)
                 support ^= b

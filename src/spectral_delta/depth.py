@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complexes import (SimplicialComplex, Simplex, _face_masks, _link, _mask,
-                        _unmask, restriction)
+from .complexes import (SimplicialComplex, Simplex, _common, _face_masks,
+                        _link, _mask, _unmask, restriction)
 from .homology import FieldSpec, reduced_homology
 
 # The Betti table walks all 2**n vertex subsets; depth keeps the same cap
@@ -161,11 +161,7 @@ def _link_unless_cone(K: SimplicialComplex,
                       m: int) -> SimplicialComplex | None:
     """The link of the face with mask m in K, or None when it is a cone;
     shared by the depth walks over every field."""
-    common = -1
-    for fm in K.facet_masks:
-        if m | fm == fm:
-            common &= fm
-    if common != m:
+    if _common(K.facet_masks, m) != m:
         # a vertex outside the face lies in every facet through it, so
         # the link is a cone and has no reduced homology
         return None

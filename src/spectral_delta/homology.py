@@ -180,11 +180,6 @@ class HomologyProfile:
                 return tors
         return ()
 
-    def betti(self, i: int) -> int:
-        """Field dimension in degree i (for field coefficients this is the
-        Betti number; over Z it is the free rank)."""
-        return self.free_rank(i)
-
     def group_is_trivial(self, i: int) -> bool:
         return self.free_rank(i) == 0 and not self.torsion(i)
 

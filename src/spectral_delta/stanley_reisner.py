@@ -113,7 +113,6 @@ def minimal_primes(K: SimplicialComplex) -> PrimeFamily:
     return PrimeFamily(K.n, primes)
 
 
-@lru_cache(maxsize=1 << 16)
 def delta_of_primes(family: PrimeFamily) -> SimplicialComplex:
     """Complex on one vertex per prime; an index set is a face exactly when
     its primes collectively miss at least one of the n variables."""

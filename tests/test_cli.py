@@ -307,6 +307,25 @@ def test_unknown_verb_is_argparse_error(capsys):
     assert exc.value.code == 2
 
 
+# one file that is not UTF-8, and one JSON object nested past the
+# decoder's recursion limit
+UNREADABLE = {
+    "not_utf8": b"n 2\nfacet 1 \xff\n",
+    "deep_json": b'{"n": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+@pytest.mark.parametrize("verb", ["homology", "depth", "delta", "dual",
+                                  "nerve", "sr", "link", "check"])
+def test_unreadable_input_is_an_input_error(capsys, tmp_path, verb, kind):
+    p = tmp_path / "in.cplx"
+    p.write_bytes(UNREADABLE[kind])
+    code, out, err = run(capsys, verb, str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
+
+
 def test_notices_go_to_stderr(capsys, tmp_path):
     p = tmp_path / "dups.cplx"
     p.write_text("n 2\nfacet 1 1 2\n")
@@ -319,11 +338,11 @@ TWO_FACETS = ("n 28\nfacet " + " ".join(map(str, range(1, 15)))
               + "\nfacet " + " ".join(map(str, range(15, 29))) + "\n")
 
 
-def run_child(tmp_path, *argv):
-    """Run the CLI on TWO_FACETS as a child process, so that a regression
+def run_child(tmp_path, *argv, text=TWO_FACETS):
+    """Run the CLI on `text` as a child process, so that a regression
     fails on the timeout instead of hanging the suite."""
-    p = tmp_path / "two_facets.cplx"
-    p.write_text(TWO_FACETS)
+    p = tmp_path / "input.cplx"
+    p.write_text(text)
     src = str(Path(spectral_delta.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
@@ -354,3 +373,12 @@ def test_face_ideal_of_two_disjoint_large_facets_finishes(tmp_path):
     done = run_child(tmp_path, "dual")
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.splitlines()) == 1 + 196
+
+
+def test_face_ideal_of_one_vertex_among_many_finishes(tmp_path):
+    # 29,999 minimal nonfaces, one high vertex each; unmasking them bit
+    # position by bit position did not finish in a minute
+    done = run_child(tmp_path, "sr", text="n 30000\nfacet 1\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "n 30000\n" + "".join(
+        f"generator {v}\n" for v in range(2, 30001))

@@ -99,9 +99,9 @@ def test_boundary_composes_to_zero():
 def test_hollow_triangle_is_a_circle(hollow_triangle):
     prof = reduced_homology(hollow_triangle, Z)
     assert prof.entries == ((1, 1, ()),)
-    assert reduced_homology(hollow_triangle, Q).betti(1) == 1
-    assert reduced_homology(hollow_triangle, F2).betti(1) == 1
-    assert reduced_homology(hollow_triangle, Q).betti(0) == 0
+    assert reduced_homology(hollow_triangle, Q).free_rank(1) == 1
+    assert reduced_homology(hollow_triangle, F2).free_rank(1) == 1
+    assert reduced_homology(hollow_triangle, Q).free_rank(0) == 0
 
 
 def test_two_points_have_extra_component(two_points):
@@ -116,7 +116,7 @@ def test_full_simplex_is_contractible():
 def test_irrelevant_complex_has_degree_minus_one_group(irrelevant2):
     prof = reduced_homology(irrelevant2, Z)
     assert prof.entries == ((-1, 1, ()),)
-    assert reduced_homology(irrelevant2, F2).betti(-1) == 1
+    assert reduced_homology(irrelevant2, F2).free_rank(-1) == 1
 
 
 def test_void_complex_has_no_homology():
@@ -127,7 +127,7 @@ def test_rp2_homology_over_every_coefficient_system(rp2):
     assert reduced_homology(rp2, Z).entries == ((1, 0, (2,)),)
     assert reduced_homology(rp2, Q).is_trivial
     f2 = reduced_homology(rp2, F2)
-    assert f2.betti(1) == 1 and f2.betti(2) == 1
+    assert f2.free_rank(1) == 1 and f2.free_rank(2) == 1
     assert reduced_homology(rp2, F3).is_trivial
 
 
@@ -285,7 +285,7 @@ def test_matches_independent_gf2_elimination(rp2):
             expected = {i: b for i, b
                         in gf2_reduced_betti(n, K.facets).items() if b}
             prof = reduced_homology(K, F2)
-            mine = {i: prof.betti(i) for i in range(-1, n)}
+            mine = {i: prof.free_rank(i) for i in range(-1, n)}
             mine = {i: b for i, b in mine.items() if b}
             assert mine == expected, K.facets
     assert {i: b for i, b in gf2_reduced_betti(6, rp2.facets).items()
@@ -296,7 +296,7 @@ def test_euler_poincare_over_rationals():
     for n in (1, 2, 3, 4):
         for K in enumerate_complexes(n):
             prof = reduced_homology(K, Q)
-            alt = sum((-1) ** i * prof.betti(i) for i in range(-1, n + 1))
+            alt = sum((-1) ** i * prof.free_rank(i) for i in range(-1, n + 1))
             assert alt == reduced_euler_characteristic(K), K.facets
 
 
@@ -313,8 +313,8 @@ def test_relative_homology_of_disc_mod_boundary(hollow_triangle):
     disc = full_simplex(3)
     prof = relative_homology(disc, hollow_triangle, Z)
     assert prof.entries == ((2, 1, ()),)
-    assert relative_homology(disc, hollow_triangle, Q).betti(2) == 1
-    assert relative_homology(disc, hollow_triangle, F2).betti(2) == 1
+    assert relative_homology(disc, hollow_triangle, Q).free_rank(2) == 1
+    assert relative_homology(disc, hollow_triangle, F2).free_rank(2) == 1
 
 
 def test_relative_homology_of_pair_with_torsion(rp2):
@@ -323,7 +323,7 @@ def test_relative_homology_of_pair_with_torsion(rp2):
     skel = make_complex(6, [f for f in rp2.faces() if len(f) == 2])
     prof = relative_homology(rp2, skel, Z)
     assert prof.entries == ((2, 10, ()),)
-    assert prof.betti(0) == 0
+    assert prof.free_rank(0) == 0
 
 
 def test_relative_homology_matches_the_mapping_cone_over_fields(rp2):
@@ -338,7 +338,7 @@ def test_relative_homology_matches_the_mapping_cone_over_fields(rp2):
         cone = frozenset(L.faces()) | {f + apex for f in K.faces()}
         for coeff in (Q, F2, F3):
             prof = relative_homology(L, K, coeff)
-            mine = {i: prof.betti(i) for i in prof.nonzero_degrees()}
+            mine = {i: prof.free_rank(i) for i in prof.nonzero_degrees()}
             expected = {i: b for i, b
                         in field_reduced_betti(cone, coeff.p).items() if b}
             assert mine == expected, (L.facets, K.facets, coeff.label)
@@ -469,4 +469,4 @@ def test_matrix_route_matches_snf_and_rank_paths(rp2):
                 predicted = (z.free_rank(i)
                              + sum(1 for t in z.torsion(i) if t % p == 0)
                              + sum(1 for t in z.torsion(i - 1) if t % p == 0))
-                assert f.betti(i) == predicted, (K.facets, F.label, i)
+                assert f.free_rank(i) == predicted, (K.facets, F.label, i)

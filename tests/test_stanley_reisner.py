@@ -147,7 +147,7 @@ def test_delta_of_two_complementary_primes_is_disconnected():
     fam = PrimeFamily(2, ((1,), (2,)))
     D = delta_of_primes(fam)
     assert D.facets == ((1,), (2,))
-    assert reduced_homology(D, Q).betti(0) == 1
+    assert reduced_homology(D, Q).free_rank(0) == 1
 
 
 def test_delta_handles_zero_ideal():
