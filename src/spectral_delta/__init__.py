@@ -73,8 +73,7 @@ def clear_caches() -> None:
     `functools.lru_cache`; values cached on a complex itself live and go
     with that complex."""
     for memo in (_core, _dual, _reduction, _reduced_cached, sr_generators,
-                 nerve_of_facets, delta_of_complex,
-                 _link_unless_cone, depth, hochster_betti_table):
+                 nerve_of_facets, delta_of_complex, _link_unless_cone, depth):
         memo.cache_clear()
 
 

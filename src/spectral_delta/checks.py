@@ -94,6 +94,8 @@ def random_complexes(n: int, seed: int, count: int) -> list[SimplicialComplex]:
     uniform nonempty subset of 1..n; canonicalization merges duplicates."""
     if n < 1:
         raise ValueError("need at least one ambient vertex")
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -309,8 +311,8 @@ def _applicable(K: SimplicialComplex, check_id: str) -> bool:
 def run_instance(K: SimplicialComplex, check_ids: Sequence[str],
                  coeffs: Sequence[FieldSpec]) -> list[CheckOutcome]:
     """Outcome records for all requested checks on one complex;
-    inapplicable combinations are skipped silently (the sweep counts
-    them).  A coefficient-free check is recorded under the label "-"."""
+    inapplicable combinations are skipped silently and leave no record.
+    A coefficient-free check is recorded under the label "-"."""
     instance = _describe(K)
     out = []
     for cid in check_ids:

@@ -100,7 +100,6 @@ def _check_feasible(K: SimplicialComplex, coeff: FieldSpec, max_n: int,
                          "raise max_n explicitly to proceed")
 
 
-@lru_cache(maxsize=1 << 14)
 def hochster_betti_table(K: SimplicialComplex, coeff: FieldSpec,
                          max_n: int = DEFAULT_VERTEX_CAP) -> BettiTable:
     """Multigraded Betti table from homology of vertex-subset restrictions.

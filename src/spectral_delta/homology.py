@@ -93,14 +93,6 @@ class FieldSpec:
             raise ValueError("characteristic only applies to prime fields")
 
     @classmethod
-    def integers(cls) -> "FieldSpec":
-        return cls("integers")
-
-    @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls("rationals")
-
-    @classmethod
     def prime(cls, p: int) -> "FieldSpec":
         return cls("prime_field", p)
 
@@ -109,9 +101,9 @@ class FieldSpec:
         """Parse a coefficient flag: z, q, f2, f3 or fp:<prime>."""
         t = token.strip().lower()
         if t == "z":
-            return cls.integers()
+            return cls("integers")
         if t == "q":
-            return cls.rationals()
+            return cls("rationals")
         if t == "f2":
             return cls.prime(2)
         if t == "f3":
@@ -141,8 +133,8 @@ class FieldSpec:
         return self.label
 
 
-Z = FieldSpec.integers()
-Q = FieldSpec.rationals()
+Z = FieldSpec("integers")
+Q = FieldSpec("rationals")
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,13 @@
 
 Matrices hold arbitrary-precision Python ints; nothing here ever rounds.
 The Smith reduction uses minimum-absolute-value pivoting with explicit
-remainder handling, tracking unimodular row and column transforms when
-requested.  Rational ranks come from fraction-free (Bareiss) elimination,
-prime-field ranks from ordinary modular elimination.  Sparse matrices
-with many +-1 entries, such as simplicial boundary maps, can first have
-their unit pivots cleared by `_eliminate_unit_pivots`, leaving the dense
-kernels only the remainder.
+remainder handling.  The full decomposition reduces A inside the block
+[[A, I], [I]], so the unimodular row and column transforms build up
+beside and below A under the same operations.  Rational ranks come from
+fraction-free (Bareiss) elimination, prime-field ranks from ordinary
+modular elimination.  Sparse matrices with many +-1 entries, such as
+simplicial boundary maps, can first have their unit pivots cleared by
+`_eliminate_unit_pivots`, leaving the dense kernels only the remainder.
 """
 
 from __future__ import annotations
@@ -84,52 +85,23 @@ class SnfResult:
         return [d for d in self.D.diagonal() if d != 0]
 
 
-def _snf_core(M: list[list[int]], m: int, n: int, U=None, V=None) -> list[int]:
-    """Reduce M in place to Smith form; return the nonzero diagonal.
-
-    When U / V are given (as identity matrices' row lists) every row and
-    column operation is mirrored so that U @ A @ V == M holds throughout.
-    """
+def _snf_core(M: list[list[int]], m: int, n: int) -> list[int]:
+    """Reduce the leading m x n block of M to Smith form in place and
+    return its nonzero diagonal.  Row operations run the full length of
+    their rows and column operations down all of M, so on the augmented
+    block [[A, I_m], [I_n]] U builds up beside A and V below it."""
 
     def row_sub(i, k, q, start=None):
         # row i -= q * row k; columns before `start` (default: k, right
         # for clearing calls where k is the stage) are known zeros
-        if not q:
-            return
         Mi, Mk = M[i], M[k]
-        for j in range(k if start is None else start, n):
+        for j in range(k if start is None else start, len(Mi)):
             Mi[j] -= q * Mk[j]
-        if U is not None:
-            Ui, Uk = U[i], U[k]
-            for j in range(m):
-                Ui[j] -= q * Uk[j]
 
     def col_sub(j, k, q):
-        if not q:
-            return
-        for i in range(k, m):
+        for i in range(k, len(M)):
             Mi = M[i]
             Mi[j] -= q * Mi[k]
-        if V is not None:
-            for row in V:
-                row[j] -= q * row[k]
-
-    def row_swap(i, k):
-        M[i], M[k] = M[k], M[i]
-        if U is not None:
-            U[i], U[k] = U[k], U[i]
-
-    def col_swap(j, k):
-        for row in M:
-            row[j], row[k] = row[k], row[j]
-        if V is not None:
-            for row in V:
-                row[j], row[k] = row[k], row[j]
-
-    def row_negate(k):
-        M[k] = [-x for x in M[k]]
-        if U is not None:
-            U[k] = [-x for x in U[k]]
 
     # Each round re-selects the globally smallest nonzero entry as the
     # pivot and clears with nearest-integer quotients, so every residue
@@ -158,11 +130,12 @@ def _snf_core(M: list[list[int]], m: int, n: int, U=None, V=None) -> list[int]:
         if best is None:
             break
         if bi != k:
-            row_swap(bi, k)
+            M[bi], M[k] = M[k], M[bi]
         if bj != k:
-            col_swap(bj, k)
+            for row in M:
+                row[bj], row[k] = row[k], row[bj]
         if M[k][k] < 0:
-            row_negate(k)
+            M[k] = [-x for x in M[k]]
         a = M[k][k]
         half = a // 2
 
@@ -183,17 +156,18 @@ def _snf_core(M: list[list[int]], m: int, n: int, U=None, V=None) -> list[int]:
             continue
 
         # pivot must divide the rest of the submatrix; fold an offending
-        # row into the pivot row and reduce, leaving a residue <= a/2
-        bad = None
+        # row (always past row 0, so 0 means none) into the pivot row and
+        # reduce, leaving a residue <= a/2
+        bad = 0
         for i in range(k + 1, m):
             Mi = M[i]
             for j in range(k + 1, n):
                 if Mi[j] % a:
                     bad = i
                     break
-            if bad is not None:
+            if bad:
                 break
-        if bad is not None:
+        if bad:
             row_sub(k, bad, -1, start=k)
             for j in range(k + 1, n):
                 x = M[k][j]
@@ -213,11 +187,12 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     divisibility chain d1 | d2 | ... followed by zeros.
     """
     m, n = A.rows, A.cols
-    M = [row[:] for row in A.data]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    _snf_core(M, m, n, U, V)
-    return SnfResult(IntMatrix(m, m, U), IntMatrix(m, n, M), IntMatrix(n, n, V))
+    M = [row + u for row, u in zip(A.data, IntMatrix.identity(m).data)]
+    M += IntMatrix.identity(n).data
+    _snf_core(M, m, n)
+    return SnfResult(IntMatrix(m, m, [row[n:] for row in M[:m]]),
+                     IntMatrix(m, n, [row[:n] for row in M[:m]]),
+                     IntMatrix(n, n, M[m:]))
 
 
 def snf_diagonal(data: Sequence[Sequence[int]], m: int, n: int) -> list[int]:

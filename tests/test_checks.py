@@ -74,6 +74,13 @@ def test_random_corpus_is_deterministic():
     assert random_complexes(8, seed=2, count=20) != a
 
 
+def test_random_corpus_rejects_a_negative_count():
+    with pytest.raises(ValueError,
+                       match="^count must be nonnegative, got -5$"):
+        random_complexes(8, seed=1, count=-5)
+    assert random_complexes(8, seed=1, count=0) == []
+
+
 def test_outcome_expectation_polarity():
     good = CheckOutcome("x", "{}", "Q", passed=True)
     assert not good.unexpected

@@ -290,6 +290,13 @@ def test_sweep_random_mode_flags(capsys):
     assert out.splitlines()[0] == "sweep n=6 mode=random seed=3 count=5"
 
 
+def test_sweep_rejects_a_negative_count(capsys):
+    code, out, err = run(capsys, "sweep", "-n", "6", "--mode", "random",
+                         "--seed", "3", "--count", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: count must be nonnegative, got -5\n"
+
+
 def test_usage_errors_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "homology", str(tmp_path / "missing.cplx"))
     assert code == 2 and err.startswith("error:")

@@ -1,5 +1,5 @@
 """Metamorphic relations: answers that must stay the same, or change in
-a known way, when a complex is relabelled or coned.
+a known way, when a complex is relabelled, coned, suspended or joined.
 
 Each relation is a theorem about the invariants, not a second route
 through the library.  Every transformed complex is built from facet
@@ -14,6 +14,7 @@ from spectral_delta.checks import random_complexes
 from spectral_delta.fixtures import rp2_complex
 
 F2 = FieldSpec.prime(2)
+F3 = FieldSpec.prime(3)
 
 # seeded complexes on 1..7 vertices, the irrelevant complex, and RP^2
 # for its 2-torsion
@@ -33,6 +34,17 @@ def _cone(K):
     """The cone on K, with the new vertex n + 1 as its apex."""
     apex = K.n + 1
     return make_complex(apex, [f + (apex,) for f in K.facets])
+
+
+def _join(K, L):
+    """K * L on 1..n_K + n_L, with L's vertices moved past K's."""
+    return make_complex(K.n + L.n, [f + tuple(K.n + v for v in g)
+                                    for f in K.facets for g in L.facets])
+
+
+def _suspension(K):
+    """K * S^0, the two new vertices n + 1 and n + 2 as its poles."""
+    return _join(K, make_complex(2, [(1,), (2,)]))
 
 
 def _depth_and_verdict(K, coeff):
@@ -65,3 +77,41 @@ def test_a_cone_has_one_more_depth_and_the_same_verdict():
             d, cm = _depth_and_verdict(K, coeff)
             assert _depth_and_verdict(C, coeff) == (d + 1, cm), (
                 K.facets, coeff.label)
+
+
+def test_a_suspension_moves_every_group_up_one_degree():
+    # the suspension isomorphism, torsion included: H~_{i+1}(K * S^0)
+    # and H~_i(K) agree over every coefficient system
+    clear_caches()
+    for K in CORPUS:
+        S = _suspension(K)
+        for coeff in (Z, Q, F2, F3):
+            shifted = tuple((deg + 1, free, tors) for deg, free, tors
+                            in reduced_homology(K, coeff).entries)
+            assert reduced_homology(S, coeff).entries == shifted, (
+                K.facets, coeff.label)
+    S = _suspension(rp2_complex())
+    assert reduced_homology(S, Z).torsion(2) == (2,)
+    assert reduced_homology(_suspension(S), Z).torsion(3) == (2,)
+
+
+def test_a_join_adds_depths_and_is_cm_exactly_when_both_factors_are():
+    # k[K * L] = k[K] (x)_k k[L] over a field, so depths add, and the
+    # join is Cohen-Macaulay exactly when both factors are
+    clear_caches()
+    rng = random.Random(5)
+    small = [K for K in CORPUS if K.n <= 4]
+    # few small complexes have depth below dim + 1, so every ordered pair
+    # of those goes in first, and seeded draws make up the rest of the 60
+    odd = [K for K in small
+           if any(depth(K, coeff).depth <= K.dimension for coeff in (Q, F2))]
+    pairs = [(K, L) for K in odd for L in odd]
+    pairs += [(rng.choice(small), rng.choice(small))
+              for _ in range(60 - len(pairs))]
+    for K, L in pairs:
+        J = _join(K, L)
+        for coeff in (Q, F2):
+            (dk, cmk), (dl, cml) = (_depth_and_verdict(K, coeff),
+                                    _depth_and_verdict(L, coeff))
+            assert _depth_and_verdict(J, coeff) == (dk + dl, cmk and cml), (
+                K.facets, L.facets, coeff.label)
