@@ -423,8 +423,8 @@ def _run_one(K: SimplicialComplex, check_ids: Sequence[str],
     when the sweep tracks it.  The checks have usually cached the
     integral homology by then, so the flag costs little."""
     outcomes = run_instance(K, check_ids, coeffs)
-    track_torsion = any(not c.is_field for c in coeffs)
-    return outcomes, track_torsion and _has_torsion(K)
+    return outcomes, Z in coeffs and any(
+        tors for _, _, tors in reduced_homology(K, Z).entries)
 
 
 def sweep(n: int, mode: str = "exhaustive", seed: int | None = None,
@@ -477,7 +477,3 @@ def sweep(n: int, mode: str = "exhaustive", seed: int | None = None,
                 report.record(o)
     report.elapsed = time.monotonic() - start
     return report
-
-
-def _has_torsion(K: SimplicialComplex) -> bool:
-    return any(tors for _, _, tors in reduced_homology(K, Z).entries)

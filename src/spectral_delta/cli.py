@@ -22,7 +22,7 @@ from .complexes import (
     alexander_dual,
     link,
 )
-from .depth import DEFAULT_VERTEX_CAP, depth
+from .depth import depth
 from .fixtures import rp2_self_check
 from .homology import FieldSpec, reduced_homology
 from .serialize import (
@@ -105,7 +105,7 @@ def cmd_depth(args) -> int:
     coeff = FieldSpec.parse(args.field)
     if not coeff.is_field:
         raise ValueError("depth needs field coefficients (q, f2, f3, fp:<p>)")
-    report = depth(K, coeff, max_n=args.max_n)
+    report = depth(K, coeff)
     if args.json:
         print(json.dumps(report.as_json(), sort_keys=True))
     else:
@@ -251,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--field", default="q",
                    help="field coefficients: q, f2, f3 or fp:<prime>")
-    p.add_argument("--max-n", type=int, default=DEFAULT_VERTEX_CAP,
-                   help="refuse complexes on more vertices than this")
     add_json(p)
     p.set_defaults(run=cmd_depth)
 

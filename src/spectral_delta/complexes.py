@@ -18,7 +18,8 @@ Minimal nonfaces and duals come from minimal transversals, not from all
 2**n subsets.  Faces have one enumerator, `_face_masks`, which lists
 them as bitmasks by size; the chains, the depth walk, the face counts
 and the tuple views all read it, and no face table is cached on a
-complex.
+complex.  It refuses to walk more than `FACE_BUDGET` faces, as bounded
+by the sum of 2**|F| over the facets; a dual lists no more vertex entries.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 Simplex = tuple[int, ...]
+
+FACE_BUDGET = 1 << 22  # 2**22 face masks hold a few hundred MB
 
 VOID = "void"
 IRRELEVANT = "irrelevant"
@@ -104,7 +107,12 @@ def _common(masks: Iterable[int], m: int) -> int:
 def _face_masks(K: SimplicialComplex) -> list[list[int]]:
     """The faces of K as masks, listed by vertex count (the empty face
     first) and in increasing order within a count: every submask of
-    every facet, each once.  No list at all for the void complex."""
+    every facet, each once.  No list at all for the void complex.  Raises
+    ValueError, building nothing, when sum 2**|F| exceeds FACE_BUDGET."""
+    bound = sum(1 << f.bit_count() for f in K.facet_masks)
+    if bound > FACE_BUDGET:
+        raise ValueError(f"face bound {bound:,} (the sum of 2**|F| over the "
+                         f"facets) exceeds the face budget {FACE_BUDGET:,}")
     seen = {0} if K.facets else set()
     for f in K.facet_masks:
         s = f
@@ -307,8 +315,12 @@ def _dual(K: SimplicialComplex) -> SimplicialComplex:
     full = (1 << K.n) - 1
     # the facets are the complements of the minimal nonfaces; the void
     # complex has one, the empty set, and the full simplex has none
-    return _from_masks(K.n, [full ^ t for t in
-                             _transversals(full ^ m for m in K.facet_masks)])
+    nonfaces = _transversals(full ^ m for m in K.facet_masks)
+    size = sum(K.n - t.bit_count() for t in nonfaces)
+    if size > FACE_BUDGET:
+        raise ValueError(f"the dual's {size:,} vertex entries exceed the "
+                         f"face budget {FACE_BUDGET:,}")
+    return _from_masks(K.n, [full ^ t for t in nonfaces])
 
 
 @lru_cache(maxsize=1 << 16)

@@ -27,8 +27,7 @@ from .complexes import (SimplicialComplex, Simplex, _common, _face_masks,
                         _link, _mask, _unmask, restriction)
 from .homology import FieldSpec, reduced_homology
 
-# The Betti table walks all 2**n vertex subsets; depth keeps the same cap
-# so that its behaviour above 16 vertices stays as it was.
+# The Betti table walks all 2**n vertex subsets, so it caps n.
 DEFAULT_VERTEX_CAP = 16
 
 
@@ -89,15 +88,11 @@ class DepthReport:
                 f"dim={self.krull_dim} CM={cm}")
 
 
-def _check_feasible(K: SimplicialComplex, coeff: FieldSpec, max_n: int,
-                    why: str):
+def _check_feasible(K: SimplicialComplex, coeff: FieldSpec):
     if K.is_void:
         raise ValueError("the void complex has no face ring")
     if not coeff.is_field:
         raise ValueError("Betti numbers here need field coefficients")
-    if K.n > max_n:
-        raise ValueError(f"n = {K.n} exceeds the cap of {max_n}: {why}; "
-                         "raise max_n explicitly to proceed")
 
 
 def hochster_betti_table(K: SimplicialComplex, coeff: FieldSpec,
@@ -107,9 +102,10 @@ def hochster_betti_table(K: SimplicialComplex, coeff: FieldSpec,
     The restriction to each vertex subset W contributes its degree-j
     homology dimension at homological degree |W| - j - 1.
     """
-    _check_feasible(K, coeff, max_n,
-                    "the computation enumerates all 2**n vertex subsets "
-                    f"(2**{K.n} restrictions)")
+    _check_feasible(K, coeff)
+    if K.n > max_n:
+        raise ValueError(f"n = {K.n} exceeds the cap of {max_n}: the table "
+                         "walks 2**n vertex subsets; raise max_n to proceed")
     support = _mask(K.vertices)
     raw = []
     for w in range(1 << K.n):
@@ -128,8 +124,7 @@ def hochster_betti_table(K: SimplicialComplex, coeff: FieldSpec,
 
 
 @lru_cache(maxsize=1 << 14)
-def depth(K: SimplicialComplex, coeff: FieldSpec,
-          max_n: int = DEFAULT_VERTEX_CAP) -> DepthReport:
+def depth(K: SimplicialComplex, coeff: FieldSpec) -> DepthReport:
     """Depth report for the face ring of K over a field.
 
     Walks the face masks layer by layer, by size, from the bound
@@ -138,8 +133,7 @@ def depth(K: SimplicialComplex, coeff: FieldSpec,
     are keyed on and built from the masks.  The irrelevant complex has
     depth 0 and Krull dimension 0, so it counts as Cohen-Macaulay.
     """
-    _check_feasible(K, coeff, max_n,
-                    "depth keeps the Betti table's cap for compatibility")
+    _check_feasible(K, coeff)
     krull = K.dimension + 1
     d = krull
     for m in (m for layer in _face_masks(K) for m in layer):

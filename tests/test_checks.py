@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
@@ -25,6 +26,7 @@ from spectral_delta.checks import (
     run_instance,
     sweep,
 )
+from spectral_delta.cli import main
 
 from oracles import count_antichains, count_nonvoid_complexes
 
@@ -370,3 +372,76 @@ def test_one_elimination_per_complex_for_all_coefficients(monkeypatch, rp2):
         assert eliminations(K, (Z, Q, F2, F3)) <= one, K.facets
         total += one
     assert total > 0
+
+
+def _cone(K):
+    return make_complex(K.n + 1, [f + (K.n + 1,) for f in K.facets])
+
+
+def _join(K, L):
+    return make_complex(K.n + L.n, [f + tuple(K.n + v for v in g)
+                                    for f in K.facets for g in L.facets])
+
+
+def test_a_planted_defect_fails_the_sweep(monkeypatch, capsys, tmp_path):
+    # the facet nerve replaced by the cone on K, which has no homology
+    # and the wrong vertex count: the nerve check fails wherever K has
+    # homology, and delta_iso_nerve fails everywhere
+    monkeypatch.setattr(checks, "nerve_of_facets", _cone)
+    monkeypatch.delenv("SPECTRAL_DELTA_THREADS", raising=False)
+    clear_caches()
+    rep = sweep(4, threads=1)
+    assert {cid: t["fail"] for cid, t in rep.tallies.items()} == {
+        "hartshorne": 0, "depth_vanishing": 0, "few_facets": 0,
+        "generator_count": 0, "alexander_duality": 0, "uct": 0,
+        "nerve": 306, "delta_iso_nerve": 167}
+    assert rep.tallies["nerve"]["pass"] == 195
+    assert rep.unexpected_failures == 306 + 167
+    assert len(rep.failures) == rep.FAILURE_CAP == 100
+    assert all(not f["passed"] and f["expect_pass"] for f in rep.failures)
+    assert rep.failures[0] == {
+        "check": "nerve", "instance": '{"n":4,"facets":[[]]}',
+        "coefficients": "Q", "passed": False, "expect_pass": True,
+        "witness": {"complex": {"coefficients": "Q",
+                                "groups": {"-1": {"free": 1, "torsion": []}}},
+                    "nerve": {"coefficients": "Q", "groups": {}}}}
+    fail_lines = [line for line in rep.render_text().splitlines()
+                  if line.startswith("  FAIL ")]
+    assert len(fail_lines) == 10
+    assert fail_lines[0] == '  FAIL nerve [Q] {"n":4,"facets":[[]]}'
+
+    assert main(["sweep", "-n", "4", "--checks", "nerve,delta_iso_nerve",
+                 "--fields", "q"]) == 1
+    out = capsys.readouterr().out
+    assert "unexpected failures: 269" in out
+    assert sum(line.startswith("  FAIL ") for line in out.splitlines()) == 10
+    p = tmp_path / "hollow.cplx"
+    p.write_text("n 3\nfacet 1 2\nfacet 1 3\nfacet 2 3\n")
+    assert main(["check", str(p), "--checks", "nerve,delta_iso_nerve",
+                 "--fields", "q"]) == 1
+    assert capsys.readouterr().out == (
+        "nerve [Q] FAIL\ndelta_iso_nerve [-] FAIL\n")
+
+
+def test_a_sweep_sees_torsion(monkeypatch, rp2):
+    # RP^2, its suspension and its join with a 2-sphere carry Z/2 in
+    # degrees 1, 2 and 4; the join's 40 primes are past delta's limit
+    # and its facet nerve past the face budget, so it meets only the
+    # checks on K itself
+    suspension = _join(rp2, make_complex(2, [(1,), (2,)]))
+    join = _join(rp2, make_complex(4, combinations(range(1, 5), 3)))
+    monkeypatch.setattr(checks, "random_complexes",
+                        lambda n, seed, count: [rp2, suspension, join][:count])
+    monkeypatch.delenv("SPECTRAL_DELTA_THREADS", raising=False)
+    rep = sweep(8, mode="random", seed=0, count=2, coeffs=(Z, Q),
+                check_ids=("depth_vanishing",), threads=1)
+    assert rep.tallies == {
+        "depth_vanishing": {"pass": 2, "fail": 0, "expected_fail": 2}}
+    assert (rep.torsion_sightings, rep.unexpected_failures) == (2, 0)
+    rep = sweep(10, mode="random", seed=0, count=3, coeffs=(Z, F2),
+                check_ids=("few_facets", "uct"), threads=1)
+    assert rep.tallies == {
+        "few_facets": {"pass": 6, "fail": 0, "expected_fail": 0},
+        "uct": {"pass": 3, "fail": 0, "expected_fail": 0}}
+    assert (rep.torsion_sightings, rep.unexpected_failures) == (3, 0)
+    assert "torsion sightings: 3" in rep.render_text()

@@ -3,13 +3,16 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import spectral_delta
+from spectral_delta import make_complex
 from spectral_delta.cli import main
 from spectral_delta.fixtures import rp2_complex
 from spectral_delta.serialize import render_complex_text
@@ -87,6 +90,17 @@ def test_depth_json(capsys, rp2_file):
 def test_depth_rejects_integer_coefficients(capsys, rp2_file):
     code, _, err = run(capsys, "depth", rp2_file, "--field", "z")
     assert code == 2 and err.startswith("error:")
+
+
+def test_depth_has_no_vertex_cap_flag(capsys, tmp_path):
+    p = tmp_path / "two.cplx"
+    p.write_text(TWO_FACETS)
+    code, out, _ = run(capsys, "depth", str(p))
+    assert (code, out) == (0, "pdim=27 depth=1 dim=14 CM=false\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["depth", str(p), "--max-n", "30"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-n" in capsys.readouterr().err
 
 
 def test_delta_of_complex(capsys, hollow_file):
@@ -345,9 +359,19 @@ TWO_FACETS = ("n 28\nfacet " + " ".join(map(str, range(1, 15)))
               + "\nfacet " + " ".join(map(str, range(15, 29))) + "\n")
 
 
-def run_child(tmp_path, *argv, text=TWO_FACETS):
-    """Run the CLI on `text` as a child process, so that a regression
-    fails on the timeout instead of hanging the suite."""
+# the child's address space; the largest answer below (`sr` on 30,000
+# vertices) peaks at about 135 MB resident
+CHILD_MEMORY = 1 << 30
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+
+def run_child(tmp_path, *argv, text=TWO_FACETS, timeout=60):
+    """Run the CLI on `text` as a child process with capped memory, so
+    that a regression fails on the timeout or on the cap instead of
+    hanging the suite or taking the machine's memory."""
     p = tmp_path / "input.cplx"
     p.write_text(text)
     src = str(Path(spectral_delta.__file__).resolve().parents[1])
@@ -355,7 +379,8 @@ def run_child(tmp_path, *argv, text=TWO_FACETS):
         [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
     return subprocess.run(
         [sys.executable, "-m", "spectral_delta.cli", argv[0], str(p),
-         *argv[1:]], capture_output=True, text=True, timeout=60, env=env)
+         *argv[1:]], capture_output=True, text=True, timeout=timeout,
+        env=env, preexec_fn=_cap_memory)
 
 
 @pytest.mark.parametrize("field,label", [("z", "Z"), ("q", "Q"),
@@ -389,3 +414,38 @@ def test_face_ideal_of_one_vertex_among_many_finishes(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout == "n 30000\n" + "".join(
         f"generator {v}\n" for v in range(2, 30001))
+
+
+# small inputs whose work lies far above the face budget: the dual of
+# two edges and the boundary of a simplex keep all 24 vertices in their
+# strong cores, the facet nerve of RP^2 * (boundary of a tetrahedron) has
+# 10 facets of 20-30 vertices, and the dual of one vertex among 4,000
+# lists 3,999 facets of 3,999 vertices
+OVER_BUDGET = {
+    "duality_of_two_edges": (
+        ("check", "--checks", "alexander_duality", "--fields", "q"),
+        "n 24\nfacet 1 2\nfacet 3 4\n", "face bound 184,549,376 "),
+    "homology_of_a_simplex_boundary": (
+        ("homology",),
+        render_complex_text(make_complex(24, combinations(range(1, 25), 23))),
+        "face bound 201,326,592 "),
+    "nerve_of_rp2_join_a_sphere": (
+        ("check", "--checks", "nerve", "--fields", "q"),
+        render_complex_text(make_complex(
+            10, [f + g for f in rp2_complex().facets
+                 for g in combinations(range(7, 11), 3)])),
+        "face bound 4,301,258,752 "),
+    "dual_of_one_vertex_among_4000": (
+        ("dual",), "n 4000\nfacet 1\n",
+        "the dual's 15,992,001 vertex entries "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_BUDGET))
+def test_work_above_the_face_budget_exits_two_at_once(tmp_path, case):
+    argv, text, bound = OVER_BUDGET[case]
+    done = run_child(tmp_path, *argv, text=text, timeout=5)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr[-500:]
+    assert done.stderr.startswith("error: " + bound), done.stderr
+    assert done.stderr.endswith("the face budget 4,194,304\n")
+    assert done.stderr.count("\n") == 1

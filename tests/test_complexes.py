@@ -21,8 +21,9 @@ from spectral_delta import (
     reduced_euler_characteristic,
     restriction,
 )
+from spectral_delta import complexes
 from spectral_delta.checks import enumerate_complexes, random_complexes
-from spectral_delta.complexes import _core
+from spectral_delta.complexes import FACE_BUDGET, _core
 
 from oracles import (
     brute_dual_faces,
@@ -346,6 +347,47 @@ def test_f_vector_degenerate_cases():
     assert f_vector(make_complex(2, [])) == (0,)
     assert f_vector(make_complex(2, [], include_empty=True)) == (1,)
     assert euler_characteristic(make_complex(2, [])) == 0
+
+
+def test_every_face_walk_refuses_above_the_face_budget():
+    # 2**23 faces, over the budget of 2**22: each walk is refused before
+    # it builds a face
+    K = full_simplex(23)
+    walks = [f_vector, euler_characteristic, reduced_euler_characteristic,
+             lambda K: K.faces_of_dim(0), lambda K: next(K.faces()),
+             lambda K: boundary_matrix(K, 1)]
+    for walk in walks:
+        with pytest.raises(ValueError, match="face bound 8,388,608 "):
+            walk(K)
+    assert FACE_BUDGET == 1 << 22
+
+
+def test_the_face_budget_admits_its_own_size(monkeypatch):
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 8)
+    assert f_vector(full_simplex(3)) == (1, 3, 3, 1)
+    with pytest.raises(ValueError, match="face bound 16 .* face budget 8$"):
+        f_vector(full_simplex(4))
+    # the bound sums over facets: two disjoint edges have 4 + 4
+    assert f_vector(make_complex(4, [(1, 2), (3, 4)])) == (1, 4, 2)
+    with pytest.raises(ValueError, match="face bound 10 "):
+        f_vector(make_complex(5, [(1, 2), (3, 4), (5,)]))
+
+
+def test_the_dual_refuses_more_vertex_entries_than_the_face_budget(
+        monkeypatch):
+    clear_caches()
+    # 2,999 facets of 2,999 vertices each
+    with pytest.raises(ValueError, match=r"the dual's 8,994,001 vertex "
+                                         r"entries exceed the face budget"):
+        alexander_dual(make_complex(3000, [(1,)]))
+    # three facets of three vertices, at a budget of 9 and of 8
+    K = make_complex(4, [(1,)])
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 9)
+    assert alexander_dual(K).facets == ((1, 2, 3), (1, 2, 4), (1, 3, 4))
+    clear_caches()
+    monkeypatch.setattr(complexes, "FACE_BUDGET", 8)
+    with pytest.raises(ValueError, match="9 vertex entries"):
+        alexander_dual(K)
 
 
 def test_is_cone_detection(hollow_triangle):

@@ -66,18 +66,35 @@ def test_table_entries_depend_only_on_the_restriction():
 
 
 def test_table_rejects_bad_inputs(hollow_triangle):
-    # both routes refuse the same inputs
+    # both routes refuse the void complex and integer coefficients
     for route in (hochster_betti_table, depth):
         with pytest.raises(ValueError):
             route(make_complex(2, []), Q)
         with pytest.raises(ValueError):
             route(hollow_triangle, Z)
-        with pytest.raises(ValueError, match="exceeds the cap of 16"):
-            route(full_simplex(17), Q)
+    # only the table walks 2**n vertex subsets, so only it caps n
+    with pytest.raises(ValueError, match="exceeds the cap of 16"):
+        hochster_betti_table(full_simplex(17), Q)
     # explicit cap raise goes through
     t = hochster_betti_table(full_simplex(17), Q, max_n=17)
     assert t.max_degree() == 0
-    assert depth(full_simplex(17), Q, max_n=17).depth == 17
+
+
+def test_depth_has_no_vertex_cap():
+    # 2**17 faces, within the face budget; the table needs max_n=17
+    assert depth(full_simplex(17), Q).depth == 17
+    # two disjoint 14-vertex facets: 92 bytes of input on 28 vertices,
+    # disconnected, so depth 1
+    K = make_complex(28, [range(1, 15), range(15, 29)])
+    assert depth(K, Q).one_line() == "pdim=27 depth=1 dim=14 CM=false"
+    assert depth(K, F2).depth == 1
+
+
+def test_depth_refuses_a_complex_above_the_face_budget():
+    # 2**23 faces; refused before any is built
+    with pytest.raises(ValueError, match=r"face bound 8,388,608 .* exceeds "
+                                         r"the face budget 4,194,304"):
+        depth(full_simplex(23), Q)
 
 
 def test_table_shares_memo_entries_between_isomorphic_restrictions():

@@ -249,6 +249,22 @@ def test_two_disjoint_facets_reduce_on_two_points(monkeypatch):
     assert received and max(received) <= 2
 
 
+def test_the_face_budget_applies_to_the_strong_core():
+    # the boundary of the 24-simplex has no dominated vertex, so its core
+    # keeps its 24 facets of 23 vertices: 24 * 2**23 faces to walk
+    bd = make_complex(24, combinations(range(1, 25), 23))
+    for coeff in (Z, Q):
+        with pytest.raises(ValueError, match="face bound 201,326,592 "):
+            reduced_homology(bd, coeff)
+    with pytest.raises(ValueError, match="face bound "):
+        relative_homology(bd, make_complex(24, []), Q)
+    # two disjoint 23-vertex facets lie above the budget too, but their
+    # core is two points, and a cone needs no faces at all
+    K = make_complex(46, [range(1, 24), range(24, 47)])
+    assert reduced_homology(K, Z).entries == ((0, 1, ()),)
+    assert reduced_homology(full_simplex(40), Z).is_trivial
+
+
 def test_shared_reduction_never_mixes_coefficients(rp2):
     complexes = [rp2, make_complex(9, KLEIN_BOTTLE),
                  _rp2_join_tetrahedron_boundary()]

@@ -1,5 +1,6 @@
 """Metamorphic relations: answers that must stay the same, or change in
-a known way, when a complex is relabelled, coned, suspended or joined.
+a known way, when a complex is relabelled, coned, suspended, joined or
+dualised.
 
 Each relation is a theorem about the invariants, not a second route
 through the library.  Every transformed complex is built from facet
@@ -8,8 +9,8 @@ tuples by `make_complex`, the validating constructor.
 
 import random
 
-from spectral_delta import (FieldSpec, Q, Z, clear_caches, depth, f_vector,
-                            make_complex, reduced_homology)
+from spectral_delta import (FieldSpec, Q, Z, alexander_dual, clear_caches,
+                            depth, f_vector, make_complex, reduced_homology)
 from spectral_delta.checks import random_complexes
 from spectral_delta.fixtures import rp2_complex
 
@@ -28,6 +29,11 @@ def _relabel_with_unused_vertex(K, rng):
     image = rng.sample(range(1, K.n + 2), K.n)
     return make_complex(K.n + 1, [[image[v - 1] for v in f]
                                   for f in K.facets])
+
+
+def _permute(K, image):
+    """K with each vertex v renamed image[v - 1], on the same 1..n."""
+    return make_complex(K.n, [[image[v - 1] for v in f] for f in K.facets])
 
 
 def _cone(K):
@@ -115,3 +121,24 @@ def test_a_join_adds_depths_and_is_cm_exactly_when_both_factors_are():
                                     _depth_and_verdict(L, coeff))
             assert _depth_and_verdict(J, coeff) == (dk + dl, cmk and cml), (
                 K.facets, L.facets, coeff.label)
+
+
+# the dual of the void complex or of the full simplex is degenerate and
+# warns; every other complex of the corpus has a proper dual
+DUALISABLE = [K for K in CORPUS if not (K.is_void or K.is_full_simplex)]
+
+
+def test_the_dual_of_the_dual_is_the_complex():
+    clear_caches()
+    for K in DUALISABLE:
+        D = make_complex(K.n, alexander_dual(K).facets)
+        assert alexander_dual(D) == K, K.facets
+
+
+def test_the_dual_of_a_relabelled_complex_is_the_relabelled_dual():
+    clear_caches()
+    rng = random.Random(7)
+    for K in DUALISABLE:
+        image = rng.sample(range(1, K.n + 1), K.n)
+        assert alexander_dual(_permute(K, image)) == _permute(
+            alexander_dual(K), image), (K.facets, image)
