@@ -61,6 +61,7 @@ from .checks import (
     sweep,
 )
 from .fixtures import rp2_complex, rp2_self_check
+from .checks import _orbits
 from .complexes import _core, _dual
 from .depth import _link_unless_cone
 from .homology import _reduced_cached, _reduction
@@ -73,7 +74,8 @@ def clear_caches() -> None:
     `functools.lru_cache`; values cached on a complex itself live and go
     with that complex."""
     for memo in (_core, _dual, _reduction, _reduced_cached, sr_generators,
-                 nerve_of_facets, delta_of_complex, _link_unless_cone, depth):
+                 nerve_of_facets, delta_of_complex, _link_unless_cone, depth,
+                 _orbits):
         memo.cache_clear()
 
 

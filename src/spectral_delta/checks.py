@@ -13,6 +13,15 @@ Checks whose statements are only true over a field (the duality and
 generator-count statements) skip integer coefficients in sweeps; the
 depth-vanishing check keeps them, which is exactly how the documented
 torsion counterexample is exercised.
+
+Every verdict is unchanged by relabelling the vertices, so
+`run_instance` keeps one per isomorphism class.  A permutation of 1..n
+is a ring isomorphism of the face ring (depth stays) and a simplicial
+isomorphism of K, its derived complex, its dual and its facet nerve
+(homology, facet and generator counts stay).  For `delta_iso_nerve`
+it permutes the facet indexing by some sigma, and both sides are
+indexed by the facets, so both move by the same sigma.  Witnesses
+carry labels, so a failure is run again on each complex.
 """
 
 from __future__ import annotations
@@ -23,11 +32,12 @@ import random
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence
 
 from .complexes import (
     SimplicialComplex,
+    _canonical_form,
     _from_masks,
     _maximal,
     alexander_dual,
@@ -308,11 +318,46 @@ def _applicable(K: SimplicialComplex, check_id: str) -> bool:
     return True
 
 
+def _invariant(K: SimplicialComplex) -> tuple:
+    """n and each vertex's sorted sizes of the facets through it, sorted:
+    unchanged by relabelling, and far cheaper than a canonical form."""
+    return K.n, tuple(sorted(tuple(sorted(m.bit_count() for m in K.facet_masks
+                                          if m >> v & 1)) for v in range(K.n)))
+
+
+@lru_cache(maxsize=1 << 12)
+def _orbits(invariant: tuple, check_ids: tuple[str, ...],
+            coeffs: tuple[FieldSpec, ...], torsion: bool) -> list[list]:
+    """The isomorphism classes met with one invariant under one choice of
+    checks and coefficients: [first complex, {(check, coefficients):
+    expect_pass} of the runs that passed, torsion flag, canonical form or
+    None until a second complex with this invariant arrives] each."""
+    return []
+
+
 def run_instance(K: SimplicialComplex, check_ids: Sequence[str],
                  coeffs: Sequence[FieldSpec]) -> list[CheckOutcome]:
     """Outcome records for all requested checks on one complex;
     inapplicable combinations are skipped silently and leave no record.
-    A coefficient-free check is recorded under the label "-"."""
+    A coefficient-free check is recorded under the label "-".  Complexes
+    isomorphic to one already met share its verdicts (see `_run_one`)."""
+    return _run_one(K, tuple(check_ids), tuple(coeffs), torsion=False)[0]
+
+
+def _run_one(K: SimplicialComplex, check_ids: tuple[str, ...],
+             coeffs: tuple[FieldSpec, ...],
+             torsion: bool = True) -> tuple[list[CheckOutcome], bool]:
+    """Outcomes for one complex, plus whether it shows integral torsion
+    when asked and Z is among the coefficients, as a sweep tracks it.
+    A complex isomorphic to one already met takes that orbit's verdicts
+    and flag, and runs only the checks that failed again, for witnesses
+    in its own labels.  Forms are computed only within one invariant."""
+    torsion = torsion and Z in coeffs
+    orbits = _orbits(_invariant(K), check_ids, coeffs, torsion)
+    form = _canonical_form(K) if orbits else None
+    if orbits and orbits[0][3] is None:  # later orbits came with their form
+        orbits[0][3] = _canonical_form(orbits[0][0])
+    orbit = next((o for o in orbits if o[3] == form), None)
     instance = _describe(K)
     out = []
     for cid in check_ids:
@@ -324,10 +369,19 @@ def run_instance(K: SimplicialComplex, check_ids: Sequence[str],
                  if (policy != "field" or c.is_field)
                  and (policy != "prime" or c.tag == "prime_field")])
         for label, args in runs:
-            witness, expect_pass = runner(K, *args)
+            if orbit and (cid, label) in orbit[1]:
+                witness, expect_pass = None, orbit[1][cid, label]
+            else:
+                witness, expect_pass = runner(K, *args)
             out.append(CheckOutcome(cid, instance, label, witness is None,
                                     expect_pass, witness))
-    return out
+    if orbit is None:
+        orbit = [K, {(o.check_id, o.coeff): o.expect_pass
+                     for o in out if o.passed},
+                 torsion and any(tors for _, _, tors
+                                 in reduced_homology(K, Z).entries), form]
+        orbits.append(orbit)
+    return out, orbit[2]
 
 
 @dataclass
@@ -415,16 +469,6 @@ def resolve_threads(explicit: int | None = None) -> int:
             raise ValueError("SPECTRAL_DELTA_THREADS must be positive")
         return min(explicit or cap_val, cap_val)
     return explicit or 1
-
-
-def _run_one(K: SimplicialComplex, check_ids: Sequence[str],
-             coeffs: Sequence[FieldSpec]) -> tuple[list[CheckOutcome], bool]:
-    """Outcomes for one complex, plus whether it shows integral torsion
-    when the sweep tracks it.  The checks have usually cached the
-    integral homology by then, so the flag costs little."""
-    outcomes = run_instance(K, check_ids, coeffs)
-    return outcomes, Z in coeffs and any(
-        tors for _, _, tors in reduced_homology(K, Z).entries)
 
 
 def sweep(n: int, mode: str = "exhaustive", seed: int | None = None,

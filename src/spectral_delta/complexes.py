@@ -358,6 +358,59 @@ def _core(K: SimplicialComplex) -> SimplicialComplex:
     return _from_masks(len(keep), [_pack(m, keep) for m in masks])
 
 
+def _canonical_form(K: SimplicialComplex) -> tuple[int, tuple[int, ...]]:
+    """n and the sorted facet masks of K under a canonical vertex order:
+    two complexes on 1..n share a form exactly when a permutation of
+    1..n carries one onto the other.  Refine, then individualise (McKay
+    & Piperno, Practical graph isomorphism, II, J. Symbolic Comput. 60,
+    2014): colour refinement on the vertex-facet incidence, then one
+    branch per member of the first cell left with several, that member
+    singled out; the least leaf wins.  A twin of a member already tried
+    (their swap maps facets to facets) gives the same leaves and is
+    skipped.  Vertices in no facet are never permuted."""
+    masks = K.facet_masks
+    facets = frozenset(masks)
+    members = [_unmask(m) for m in masks]
+    through: dict[int, list[int]] = {}
+    for i, f in enumerate(members):
+        for v in f:
+            through.setdefault(v, []).append(i)
+    leaves = []
+
+    def twins(u: int, w: int) -> bool:
+        s = 1 << (u - 1) | 1 << (w - 1)
+        return all(m ^ s in facets for m in masks if m & s not in (0, s))
+
+    def search(colour: dict[int, int]) -> None:
+        cells = len(set(colour.values()))
+        while True:
+            # a facet's signature is the multiset of its vertex colours; a
+            # vertex's is its colour and the multiset of its facets' ones
+            ranks = [tuple(sorted(colour[v] for v in f)) for f in members]
+            sig = {v: (c, tuple(sorted(ranks[i] for i in through[v])))
+                   for v, c in colour.items()}
+            rank = {s: r for r, s in enumerate(sorted(set(sig.values())))}
+            colour = {v: rank[s] for v, s in sig.items()}
+            if len(rank) == cells:
+                break
+            cells = len(rank)
+        if cells == len(colour):
+            leaves.append(tuple(sorted(sum(1 << colour[v] for v in f)
+                                       for f in members)))
+            return
+        cell: dict[int, list[int]] = {}
+        for v, c in colour.items():
+            cell.setdefault(c, []).append(v)
+        tried: list[int] = []
+        for v in cell[min(c for c, vs in cell.items() if len(vs) > 1)]:
+            if not any(twins(u, v) for u in tried):
+                tried.append(v)
+                search({w: 2 * c + (w != v) for w, c in colour.items()})
+
+    search(dict.fromkeys(through, 0))
+    return K.n, min(leaves)
+
+
 def nerve(cover: Sequence[Iterable[int]]) -> SimplicialComplex:
     """Nerve of a cover: one vertex per cover member (numbered by position,
     1-based), a face for every index set with a common element."""

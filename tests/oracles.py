@@ -14,7 +14,7 @@ Vertices are 1-based everywhere, matching the package convention.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 from spectral_delta.homology import HomologyProfile
 from spectral_delta.linalg import mod_p_rank, rational_rank, snf_diagonal
@@ -155,6 +155,23 @@ def count_antichains(n):
         if ok:
             total += 1
     return total
+
+
+@lru_cache(maxsize=None)
+def _relabellings(n):
+    """For every permutation of 1..n, the image of each of the 2**n
+    vertex masks."""
+    return [[sum(1 << p[v] for v in range(n) if m >> v & 1)
+             for m in range(1 << n)] for p in permutations(range(n))]
+
+
+def brute_canonical_form(n, facets):
+    """The least sorted tuple of facet masks over all n! relabellings of
+    1..n: two complexes on 1..n share it exactly when one is a
+    relabelling of the other."""
+    masks = [sum(1 << (v - 1) for v in f) for f in facets]
+    return min(tuple(sorted(table[m] for m in masks))
+               for table in _relabellings(n))
 
 
 def gf2_reduced_betti(n, facets):

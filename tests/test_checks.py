@@ -445,3 +445,59 @@ def test_a_sweep_sees_torsion(monkeypatch, rp2):
         "uct": {"pass": 3, "fail": 0, "expected_fail": 0}}
     assert (rep.torsion_sightings, rep.unexpected_failures) == (3, 0)
     assert "torsion sightings: 3" in rep.render_text()
+
+
+# ten triangles on six vertices with the per-vertex facet sizes of the
+# six-vertex projective plane, so the same cheap orbit invariant, but
+# acyclic over Z
+_RP2_LOOKALIKE = make_complex(6, [
+    (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 3, 6), (2, 3, 6),
+    (2, 4, 5), (2, 4, 6), (3, 4, 5), (4, 5, 6)])
+
+
+@pytest.mark.parametrize("rp2_first", [True, False])
+def test_a_sweep_tells_orbits_apart_by_form_not_invariant(monkeypatch, rp2,
+                                                          rp2_first):
+    assert checks._invariant(rp2) == checks._invariant(_RP2_LOOKALIKE)
+    corpus = [rp2, _RP2_LOOKALIKE][::1 if rp2_first else -1]
+    monkeypatch.setattr(checks, "random_complexes",
+                        lambda n, seed, count: corpus[:count])
+    monkeypatch.delenv("SPECTRAL_DELTA_THREADS", raising=False)
+    clear_caches()
+    rep = sweep(6, mode="random", seed=0, count=2, coeffs=(Z, Q),
+                check_ids=("depth_vanishing",), threads=1)
+    # only the projective plane fails over Z and carries torsion
+    assert rep.tallies == {
+        "depth_vanishing": {"pass": 3, "fail": 0, "expected_fail": 1}}
+    assert (rep.torsion_sightings, rep.unexpected_failures) == (1, 0)
+
+
+def test_a_failure_met_again_in_an_orbit_gets_its_own_witness(monkeypatch):
+    # a hollow triangle with a tail, then a relabelling of it, under the
+    # planted cone defect: every record fails, and delta_iso_nerve's
+    # witness lists facets in each complex's own labels
+    K = make_complex(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+    image = (5, 3, 1, 2, 4)
+    L = make_complex(5, [[image[v - 1] for v in f] for f in K.facets])
+    monkeypatch.setattr(checks, "nerve_of_facets", _cone)
+    monkeypatch.setattr(checks, "random_complexes",
+                        lambda n, seed, count: [K, L][:count])
+    monkeypatch.delenv("SPECTRAL_DELTA_THREADS", raising=False)
+    clear_caches()
+    check_ids, coeffs = ("nerve", "delta_iso_nerve"), (Q, F2)
+    rep = sweep(5, mode="random", seed=0, count=2, coeffs=coeffs,
+                check_ids=check_ids, threads=1)
+    # L was met as a member of K's orbit
+    [orbit] = checks._orbits(checks._invariant(L), check_ids, coeffs, False)
+    assert orbit[0] is K
+    direct = []
+    for M in (K, L):
+        for cid, args in [("nerve", (Q,)), ("nerve", (F2,)),
+                          ("delta_iso_nerve", ())]:
+            witness, expect_pass = checks.CHECKS[cid][0](M, *args)
+            direct.append(CheckOutcome(
+                cid, checks._describe(M), args[0].label if args else "-",
+                witness is None, expect_pass, witness).as_json())
+    assert rep.failures == direct
+    assert direct[2]["witness"] != direct[5]["witness"]
+    clear_caches()

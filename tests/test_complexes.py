@@ -1,6 +1,8 @@
 """Combinatorial layer: construction, canonical form, duality, nerve."""
 
 import random
+import sys
+from itertools import combinations
 
 import pytest
 
@@ -22,10 +24,12 @@ from spectral_delta import (
     restriction,
 )
 from spectral_delta import complexes
-from spectral_delta.checks import enumerate_complexes, random_complexes
-from spectral_delta.complexes import FACE_BUDGET, _core
+from spectral_delta.checks import (_invariant, enumerate_complexes,
+                                   random_complexes)
+from spectral_delta.complexes import FACE_BUDGET, _canonical_form, _core
 
 from oracles import (
+    brute_canonical_form,
     brute_dual_faces,
     brute_link_faces,
     brute_minimal_nonfaces,
@@ -467,3 +471,83 @@ def test_core_f_vector_does_not_depend_on_the_labels(rp2):
         expected = f_vector(_core(K))
         for _ in range(4):
             assert f_vector(_core(_relabel(K, rng))) == expected, K.facets
+
+
+def test_canonical_forms_split_every_small_corpus_into_its_oracle_classes():
+    for n in range(1, 6):
+        corpus = list(enumerate_complexes(n))
+        forms = [_canonical_form(K) for K in corpus]
+        oracle = [brute_canonical_form(n, K.facets) for K in corpus]
+        # one form per oracle class and one oracle class per form
+        assert len(set(forms)) == len(set(oracle)) == len(
+            set(zip(forms, oracle))), n
+    assert len(set(forms)) == 209
+
+
+def test_canonical_form_is_the_same_under_every_relabelling(rp2):
+    rng = random.Random(9)
+    # a triangle and a square of edges: refinement leaves all seven
+    # vertices in one cell, which is not an orbit
+    square_and_triangle = make_complex(
+        7, [(1, 2), (1, 3), (2, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+    corpus = [K for n in (8, 9, 10) for K in random_complexes(n, 50 + n, 20)]
+    for K in corpus + [rp2, square_and_triangle]:
+        # on one more vertex, so that an unused vertex moves too
+        n = K.n + 1
+        form = _canonical_form(make_complex(n, K.facets))
+        for _ in range(4):
+            image = rng.sample(range(1, n + 1), n)
+            moved = make_complex(n, [[image[v - 1] for v in f]
+                                     for f in K.facets])
+            assert _canonical_form(moved) == form, (K.facets, image)
+
+
+def test_canonical_form_tells_apart_complexes_that_share_the_invariant(rp2):
+    hexagon = make_complex(6, [(i, i % 6 + 1) for i in range(1, 7)])
+    triangles = make_complex(6, [(1, 2), (1, 3), (2, 3),
+                                 (4, 5), (4, 6), (5, 6)])
+    # ten triangles on six vertices, acyclic over Z, with the vertex
+    # degrees of the six-vertex projective plane
+    acyclic = make_complex(6, [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 5),
+                               (1, 3, 6), (2, 3, 6), (2, 4, 5), (2, 4, 6),
+                               (3, 4, 5), (4, 5, 6)])
+    for K, L in [(hexagon, triangles), (rp2, acyclic)]:
+        assert _invariant(K) == _invariant(L)
+        assert _canonical_form(K) != _canonical_form(L)
+        assert (brute_canonical_form(6, K.facets)
+                != brute_canonical_form(6, L.facets))
+
+
+def _searches(K):
+    """The form of K and the number of nodes its search visited."""
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "search":
+            nodes += 1
+
+    sys.setprofile(count)
+    try:
+        form = _canonical_form(K)
+    finally:
+        sys.setprofile(None)
+    return form, nodes
+
+
+def test_a_cell_of_twins_is_branched_on_once(rp2):
+    rng = random.Random(4)
+    for k in range(1, 8):
+        boundary = make_complex(k, combinations(range(1, k + 1), k - 1))
+        for K in (full_simplex(k), boundary):
+            # every pair of vertices are twins: one node per vertex
+            form, nodes = _searches(K)
+            assert nodes == k, (K.facets, nodes)
+            assert _searches(_relabel(K, rng))[0] == form
+    # no two vertices of the projective plane are twins, so every member
+    # of a cell is tried: 1 + 6 + 30 inner nodes, and one leaf for each
+    # of its 60 automorphisms
+    form, nodes = _searches(rp2)
+    assert nodes == 97
+    for _ in range(3):
+        assert _searches(_relabel(rp2, rng))[0] == form

@@ -10,7 +10,8 @@ tuples by `make_complex`, the validating constructor.
 import random
 
 from spectral_delta import (FieldSpec, Q, Z, alexander_dual, clear_caches,
-                            depth, f_vector, make_complex, reduced_homology)
+                            depth, f_vector, hochster_betti_table,
+                            make_complex, reduced_homology)
 from spectral_delta.checks import random_complexes
 from spectral_delta.fixtures import rp2_complex
 
@@ -51,6 +52,22 @@ def _join(K, L):
 def _suspension(K):
     """K * S^0, the two new vertices n + 1 and n + 2 as its poles."""
     return _join(K, make_complex(2, [(1,), (2,)]))
+
+
+def test_betti_table_entries_move_with_the_permutation():
+    # beta_{i,W} is read off the restriction to W, so relabelling K by a
+    # permutation moves the entry at W to the image of W
+    clear_caches()
+    rng = random.Random(11)
+    for K in CORPUS:
+        image = rng.sample(range(1, K.n + 1), K.n)
+        for coeff in (Q, F2):
+            moved = sorted(((i, tuple(sorted(image[v - 1] for v in W)), b)
+                            for i, W, b in hochster_betti_table(K, coeff)
+                            .entries), key=lambda e: (e[0], len(e[1]), e[1]))
+            assert hochster_betti_table(_permute(K, image),
+                                        coeff).entries == tuple(moved), (
+                K.facets, image, coeff.label)
 
 
 def _depth_and_verdict(K, coeff):
