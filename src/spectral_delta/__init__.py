@@ -64,7 +64,7 @@ from .fixtures import rp2_complex, rp2_self_check
 from .checks import _orbits
 from .complexes import _core, _dual
 from .depth import _link_unless_cone
-from .homology import _reduced_cached, _reduction
+from .homology import _reduction
 
 __version__ = "0.1.0"
 
@@ -73,7 +73,7 @@ def clear_caches() -> None:
     """Empty every memo table of the library.  Each is a bounded
     `functools.lru_cache`; values cached on a complex itself live and go
     with that complex."""
-    for memo in (_core, _dual, _reduction, _reduced_cached, sr_generators,
+    for memo in (_core, _dual, _reduction, reduced_homology, sr_generators,
                  nerve_of_facets, delta_of_complex, _link_unless_cone, depth,
                  _orbits):
         memo.cache_clear()

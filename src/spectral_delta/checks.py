@@ -318,6 +318,15 @@ def _applicable(K: SimplicialComplex, check_id: str) -> bool:
     return True
 
 
+def _known(check_ids: Iterable[str]) -> tuple[str, ...]:
+    """The check ids as a tuple; ValueError names the first unknown one."""
+    check_ids = tuple(check_ids)
+    for cid in check_ids:
+        if cid not in CHECKS:
+            raise ValueError(f"unknown check {cid!r}")
+    return check_ids
+
+
 def _invariant(K: SimplicialComplex) -> tuple:
     """n and each vertex's sorted sizes of the facets through it, sorted:
     unchanged by relabelling, and far cheaper than a canonical form."""
@@ -341,7 +350,7 @@ def run_instance(K: SimplicialComplex, check_ids: Sequence[str],
     inapplicable combinations are skipped silently and leave no record.
     A coefficient-free check is recorded under the label "-".  Complexes
     isomorphic to one already met share its verdicts (see `_run_one`)."""
-    return _run_one(K, tuple(check_ids), tuple(coeffs), torsion=False)[0]
+    return _run_one(K, _known(check_ids), tuple(coeffs), torsion=False)[0]
 
 
 def _run_one(K: SimplicialComplex, check_ids: tuple[str, ...],
@@ -485,11 +494,8 @@ def sweep(n: int, mode: str = "exhaustive", seed: int | None = None,
     Instances are processed in corpus order even when parallel, so
     reports merge deterministically.
     """
-    for cid in check_ids:
-        if cid not in CHECKS:
-            raise ValueError(f"unknown check {cid!r}")
+    check_ids = _known(check_ids)
     coeffs = tuple(coeffs)
-    check_ids = tuple(check_ids)
     if mode == "exhaustive":
         instances = list(enumerate_complexes(n))
         seed_used, count_used = None, None

@@ -208,14 +208,9 @@ def cmd_sweep(args) -> int:
     mode = args.mode
     if mode == "auto":
         mode = "exhaustive" if args.n <= 5 else "random"
-    coeffs = _parse_fields(args.fields)
-    check_ids = _resolve_checks(args.checks)
-    kwargs = {}
-    if mode == "random":
-        kwargs["seed"] = args.seed
-        kwargs["count"] = args.count
-    report = sweep(args.n, mode=mode, coeffs=coeffs, check_ids=check_ids,
-                   **kwargs)
+    report = sweep(args.n, mode=mode, seed=args.seed, count=args.count,
+                   coeffs=_parse_fields(args.fields),
+                   check_ids=_resolve_checks(args.checks))
     if args.json:
         body = report.body_json()
         body["elapsed_seconds"] = round(report.elapsed, 3)
@@ -225,93 +220,62 @@ def cmd_sweep(args) -> int:
     return 0 if report.unexpected_failures == 0 else 1
 
 
+def _arg(*flags, **options):
+    return flags, options
+
+
+_INPUT = _arg("input", help="input file (text or JSON; '-' reads standard "
+                            "input)")
+_FIELDS = _arg("--fields", default="q,f2,f3",
+               help="comma-separated coefficient flags")
+_CHECKS = _arg("--checks", default="all",
+               help="comma-separated check ids or 'all'")
+
+# verb -> (help, runner, arguments before --json), in --help order
+VERBS = {
+    "homology": ("reduced homology of a complex", cmd_homology, [
+        _INPUT, _arg("--field", default="z",
+                     help="coefficients: z, q, f2, f3 or fp:<prime>")]),
+    "depth": ("depth report for the face ring", cmd_depth, [
+        _INPUT, _arg("--field", default="q",
+                     help="field coefficients: q, f2, f3 or fp:<prime>")]),
+    "delta": ("derived complex of the minimal primes (accepts a complex or "
+              "a prime family)", cmd_delta, [_INPUT]),
+    "dual": ("combinatorial Alexander dual", cmd_dual, [_INPUT]),
+    "nerve": ("nerve of the facet cover", cmd_nerve, [_INPUT]),
+    "sr": ("minimal monomial generators of the face ideal", cmd_sr,
+           [_INPUT]),
+    "link": ("link of a face", cmd_link, [
+        _INPUT, _arg("--face", default="",
+                     help="comma-separated vertex ids (empty for the empty "
+                          "face)")]),
+    "check": ("run theorem checks on one complex", cmd_check, [
+        _arg("input", nargs="?", help="input file (omit with --fixture)"),
+        _arg("--fixture", help="run a bundled fixture self-check (rp2)"),
+        _CHECKS, _FIELDS]),
+    "sweep": ("run checks over a whole corpus", cmd_sweep, [
+        _arg("-n", type=int, required=True, help="ambient vertex count"),
+        _arg("--mode", choices=["auto", "exhaustive", "random"],
+             default="auto"),
+        _arg("--seed", type=int, default=1, help="random corpus seed"),
+        _arg("--count", type=int, default=100, help="random corpus size"),
+        _FIELDS, _CHECKS]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectral-delta",
         description="Exact homology, depth and theorem sweeps for "
                     "simplicial complexes and their face rings.")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_input(p):
-        p.add_argument("input", help="input file (text or JSON; '-' reads "
-                                     "standard input)")
-
-    def add_json(p):
+    for verb, (help_text, run, arguments) in VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
-
-    p = sub.add_parser("homology", help="reduced homology of a complex")
-    add_input(p)
-    p.add_argument("--field", default="z",
-                   help="coefficients: z, q, f2, f3 or fp:<prime>")
-    add_json(p)
-    p.set_defaults(run=cmd_homology)
-
-    p = sub.add_parser("depth", help="depth report for the face ring")
-    add_input(p)
-    p.add_argument("--field", default="q",
-                   help="field coefficients: q, f2, f3 or fp:<prime>")
-    add_json(p)
-    p.set_defaults(run=cmd_depth)
-
-    p = sub.add_parser("delta", help="derived complex of the minimal primes "
-                                     "(accepts a complex or a prime family)")
-    add_input(p)
-    add_json(p)
-    p.set_defaults(run=cmd_delta)
-
-    p = sub.add_parser("dual", help="combinatorial Alexander dual")
-    add_input(p)
-    add_json(p)
-    p.set_defaults(run=cmd_dual)
-
-    p = sub.add_parser("nerve", help="nerve of the facet cover")
-    add_input(p)
-    add_json(p)
-    p.set_defaults(run=cmd_nerve)
-
-    p = sub.add_parser("sr", help="minimal monomial generators of the "
-                                  "face ideal")
-    add_input(p)
-    add_json(p)
-    p.set_defaults(run=cmd_sr)
-
-    p = sub.add_parser("link", help="link of a face")
-    add_input(p)
-    p.add_argument("--face", default="",
-                   help="comma-separated vertex ids (empty for the "
-                        "empty face)")
-    add_json(p)
-    p.set_defaults(run=cmd_link)
-
-    p = sub.add_parser("check", help="run theorem checks on one complex")
-    p.add_argument("input", nargs="?",
-                   help="input file (omit with --fixture)")
-    p.add_argument("--fixture", help="run a bundled fixture self-check "
-                                     "(rp2)")
-    p.add_argument("--checks", default="all",
-                   help="comma-separated check ids or 'all'")
-    p.add_argument("--fields", default="q,f2,f3",
-                   help="comma-separated coefficient flags")
-    add_json(p)
-    p.set_defaults(run=cmd_check)
-
-    p = sub.add_parser("sweep", help="run checks over a whole corpus")
-    p.add_argument("-n", type=int, required=True,
-                   help="ambient vertex count")
-    p.add_argument("--mode", choices=["auto", "exhaustive", "random"],
-                   default="auto")
-    p.add_argument("--seed", type=int, default=1,
-                   help="random corpus seed")
-    p.add_argument("--count", type=int, default=100,
-                   help="random corpus size")
-    p.add_argument("--fields", default="q,f2,f3",
-                   help="comma-separated coefficient flags")
-    p.add_argument("--checks", default="all",
-                   help="comma-separated check ids or 'all'")
-    add_json(p)
-    p.set_defaults(run=cmd_sweep)
-
+        p.set_defaults(run=run)
     return parser
 
 

@@ -20,6 +20,8 @@ them as bitmasks by size; the chains, the depth walk, the face counts
 and the tuple views all read it, and no face table is cached on a
 complex.  It refuses to walk more than `FACE_BUDGET` faces, as bounded
 by the sum of 2**|F| over the facets; a dual lists no more vertex entries.
+A complex or prime family built from outside input has at most
+`AMBIENT_LIMIT` vertices or variables.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Iterable, Iterator, Sequence
 Simplex = tuple[int, ...]
 
 FACE_BUDGET = 1 << 22  # 2**22 face masks hold a few hundred MB
+AMBIENT_LIMIT = 1 << 15  # one vertex of n already has n - 1 minimal nonfaces
 
 VOID = "void"
 IRRELEVANT = "irrelevant"
@@ -133,23 +136,35 @@ def _from_masks(n: int, masks: Iterable[int]) -> SimplicialComplex:
     return K
 
 
+def _check_members(n: int, members: Iterable[Simplex] = (),
+                   noun: str = "facet", unit: str = "vertex",
+                   where: str = "ambient set") -> None:
+    """Raise ValueError unless 0 <= n <= AMBIENT_LIMIT and the members
+    are strictly increasing tuples within 1..n that form an antichain;
+    the words name the members, the ambient elements and their set."""
+    if n < 0:
+        raise ValueError(f"ambient {unit} count must be nonnegative")
+    if n > AMBIENT_LIMIT:
+        raise ValueError(f"ambient {unit} count {n:,} exceeds the limit "
+                         f"{AMBIENT_LIMIT:,}")
+    masks = []
+    for f in members:
+        if any(f[i] >= f[i + 1] for i in range(len(f) - 1)):
+            raise ValueError(f"{noun} {f} is not strictly increasing")
+        if f and (f[0] < 1 or f[-1] > n):
+            raise ValueError(f"{noun} {f} outside {where} 1..{n}")
+        masks.append(_mask(f))
+    if len(_maximal(masks)) != len(masks):
+        raise ValueError(f"{noun}s must form an antichain")
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     n: int
     facets: tuple[Simplex, ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("ambient vertex count must be nonnegative")
-        masks = []
-        for f in self.facets:
-            if any(f[i] >= f[i + 1] for i in range(len(f) - 1)):
-                raise ValueError(f"facet {f} is not strictly increasing")
-            if f and (f[0] < 1 or f[-1] > self.n):
-                raise ValueError(f"facet {f} outside ambient set 1..{self.n}")
-            masks.append(_mask(f))
-        if len(_maximal(masks)) != len(masks):
-            raise ValueError("facets must form an antichain")
+        _check_members(self.n, self.facets)
         if list(self.facets) != sorted(self.facets):
             raise ValueError("facets must be sorted lexicographically")
 
@@ -249,8 +264,7 @@ def make_complex(n: int, faces: Iterable[Iterable[int]],
     irrelevant complex when include_empty is set and the void complex
     otherwise.
     """
-    if n < 0:
-        raise ValueError("ambient vertex count must be nonnegative")
+    _check_members(n)
     masks = [0] if include_empty else []
     for f in faces:
         t = clean_face(f)
@@ -262,8 +276,7 @@ def make_complex(n: int, faces: Iterable[Iterable[int]],
 
 
 def full_simplex(n: int) -> SimplicialComplex:
-    if n < 0:
-        raise ValueError("ambient vertex count must be nonnegative")
+    _check_members(n)
     return _from_masks(n, [(1 << n) - 1])
 
 

@@ -292,16 +292,6 @@ def _homology(reduction: Reduction, coeff: FieldSpec) -> HomologyProfile:
 
 
 @lru_cache(maxsize=1 << 17)
-def _reduced_cached(K: SimplicialComplex, coeff: FieldSpec) -> HomologyProfile:
-    if K.is_void:
-        return HomologyProfile(coeff)
-    if K.is_cone:
-        # a vertex common to all facets makes the complex a cone, which is
-        # contractible: every reduced group vanishes
-        return HomologyProfile(coeff)
-    return _homology(_reduction(_core(K)), coeff)
-
-
 def reduced_homology(K: SimplicialComplex, coeff: FieldSpec) -> HomologyProfile:
     """Reduced homology of K with the given coefficients.
 
@@ -309,7 +299,11 @@ def reduced_homology(K: SimplicialComplex, coeff: FieldSpec) -> HomologyProfile:
     """
     if not isinstance(coeff, FieldSpec):
         raise TypeError("coefficients must be a FieldSpec")
-    return _reduced_cached(K, coeff)
+    if K.is_cone:
+        # a vertex common to all facets makes the complex a cone, which is
+        # contractible: every reduced group vanishes
+        return HomologyProfile(coeff)
+    return _homology(_reduction(_core(K)), coeff)
 
 
 def relative_homology(L: SimplicialComplex, K: SimplicialComplex,

@@ -18,6 +18,7 @@ from typing import Iterable
 from .complexes import (
     SimplicialComplex,
     Simplex,
+    _check_members,
     _from_masks,
     _mask,
     _maximal,
@@ -44,17 +45,8 @@ class PrimeFamily:
     primes: tuple[Simplex, ...]
 
     def __post_init__(self):
-        if self.ambient < 0:
-            raise ValueError("ambient variable count must be nonnegative")
-        masks = []
-        for p in self.primes:
-            if any(p[i] >= p[i + 1] for i in range(len(p) - 1)):
-                raise ValueError(f"prime {p} is not strictly increasing")
-            if p and (p[0] < 1 or p[-1] > self.ambient):
-                raise ValueError(f"prime {p} outside variables 1..{self.ambient}")
-            masks.append(_mask(p))
-        if len(_maximal(masks)) != len(masks):
-            raise ValueError("primes must form an antichain")
+        _check_members(self.ambient, self.primes, noun="prime",
+                       unit="variable", where="variables")
 
     @classmethod
     def from_subsets(cls, ambient: int,

@@ -1,5 +1,6 @@
 """Theorem checks and sweep machinery."""
 
+import dataclasses
 import hashlib
 import json
 from itertools import combinations
@@ -9,6 +10,7 @@ import pytest
 from spectral_delta import (
     FieldSpec,
     Q,
+    SRGenerators,
     Z,
     clear_caches,
     full_simplex,
@@ -316,6 +318,14 @@ def test_sweep_validates_arguments():
         sweep(6)  # exhaustive beyond the cap
 
 
+def test_run_instance_and_sweep_refuse_an_unknown_check_alike(
+        hollow_triangle):
+    for run in (lambda ids: run_instance(hollow_triangle, ids, (Q,)),
+                lambda ids: sweep(3, check_ids=ids)):
+        with pytest.raises(ValueError, match="^unknown check 'nope'$"):
+            run(["nerve", "nope"])
+
+
 def test_sweep_report_text_rendering():
     rep = sweep(2, coeffs=(Q,))
     text = rep.render_text()
@@ -445,6 +455,94 @@ def test_a_sweep_sees_torsion(monkeypatch, rp2):
         "uct": {"pass": 3, "fail": 0, "expected_fail": 0}}
     assert (rep.torsion_sightings, rep.unexpected_failures) == (3, 0)
     assert "torsion sightings: 3" in rep.render_text()
+
+
+# the two torsion sweeps above, pinned whole: the sha256 of each body
+@pytest.mark.parametrize("args,digest", [
+    (dict(n=8, count=2, coeffs=(Z, Q), check_ids=("depth_vanishing",)),
+     "46ce9dced0e72c6f45f9a64319fad3da9230479c42c45356e43020205bcb4f87"),
+    (dict(n=10, count=3, coeffs=(Z, F2), check_ids=("few_facets", "uct")),
+     "f4c576c1fcf0293e736886046e6e538d705546f188f64f123930f564b96e8344"),
+], ids=["depth_vanishing", "few_facets-uct"])
+def test_torsion_sweep_bodies_are_pinned(monkeypatch, rp2, args, digest):
+    corpus = [rp2, _join(rp2, make_complex(2, [(1,), (2,)])),
+              _join(rp2, make_complex(4, combinations(range(1, 5), 3)))]
+    monkeypatch.setattr(checks, "random_complexes",
+                        lambda n, seed, count: corpus[:count])
+    monkeypatch.delenv("SPECTRAL_DELTA_THREADS", raising=False)
+    rep = sweep(mode="random", seed=0, threads=1, **args)
+    assert _digest(rep.body_json()) == digest
+
+
+def _shift_up(real):
+    """reduced_homology with every group moved one degree up."""
+    return lambda K, coeff: homology.HomologyProfile(coeff, tuple(
+        (deg + 1, free, tors) for deg, free, tors in real(K, coeff).entries))
+
+
+def _torsion_dropped(real):
+    """reduced_homology that forgets every torsion divisor."""
+    return lambda K, coeff: homology.HomologyProfile.from_groups(coeff, {
+        deg: (free, ()) for deg, free, _ in real(K, coeff).entries})
+
+
+def _depth_plus_one(real):
+    """depth with the depth number one too high."""
+    return lambda K, coeff: dataclasses.replace(real(K, coeff),
+                                                depth=real(K, coeff).depth + 1)
+
+
+HOLLOW_H1_Q = {"coefficients": "Q", "groups": {"1": {"free": 1,
+                                                     "torsion": []}}}
+
+# one planted defect per check, each through the one library name the
+# check calls: (check, name, stand-in maker, complex, coefficients,
+# the witness of the one record)
+PLANTED = {
+    "hartshorne": (
+        "depth", _depth_plus_one, "two_points", Q,
+        {"depth": 2, "h0_free": 1, "h0_torsion": []}),
+    "depth_vanishing": (
+        "delta_of_complex", lambda real: lambda K: make_complex(
+            2, [(1,), (2,)]), "hollow_triangle", Q,
+        {"depth": 2, "degree": 0, "free": 1, "torsion": []}),
+    "few_facets": (
+        "reduced_homology", _shift_up, "hollow_triangle", Q,
+        {"facets": 3, "degree": 2, "free": 1, "torsion": []}),
+    "generator_count": (
+        "sr_generators", lambda real: lambda K: SRGenerators(K.n, ()),
+        "hollow_triangle", F2,
+        {"generators": 0, "t": 3, "degree": 1, "free": 1, "torsion": []}),
+    "alexander_duality": (
+        "alexander_dual", lambda real: lambda K: K, "hollow_triangle", Q,
+        {"degree": -1, "betti": 0, "dual_degree": 1, "dual_betti": 1}),
+    "nerve": (
+        "nerve_of_facets", lambda real: _cone, "hollow_triangle", Q,
+        {"complex": HOLLOW_H1_Q, "nerve": {"coefficients": "Q",
+                                           "groups": {}}}),
+    "delta_iso_nerve": (
+        "delta_of_complex", lambda real: _cone, "hollow_triangle", None,
+        {"delta_facets": [[1, 2, 4], [1, 3, 4], [2, 3, 4]],
+         "nerve_facets": [[1, 2], [1, 3], [2, 3]]}),
+    "uct": (
+        "reduced_homology", _torsion_dropped, "rp2", F2,
+        {"degree": 1, "field_dim": 1, "predicted": 0}),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(PLANTED))
+def test_a_planted_defect_fails_each_check_with_its_witness(
+        monkeypatch, request, check_id):
+    name, stand_in, fixture, coeff, witness = PLANTED[check_id]
+    monkeypatch.setattr(checks, name, stand_in(getattr(checks, name)))
+    clear_caches()
+    try:
+        out = outcome(request.getfixturevalue(fixture), check_id, coeff)
+    finally:
+        clear_caches()  # no orbit keeps a verdict made under the defect
+    assert (out.passed, out.expect_pass, out.unexpected) == (False, True,
+                                                              True)
+    assert out.witness == witness
 
 
 # ten triangles on six vertices with the per-vertex facet sizes of the

@@ -1,9 +1,11 @@
 """End to end command line tests (driving main() in process)."""
 
+import hashlib
 import io
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from itertools import combinations
@@ -449,3 +451,99 @@ def test_work_above_the_face_budget_exits_two_at_once(tmp_path, case):
     assert done.stderr.startswith("error: " + bound), done.stderr
     assert done.stderr.endswith("the face budget 4,194,304\n")
     assert done.stderr.count("\n") == 1
+
+
+# a count far past what n-bit masks can walk: the face ideal and the dual
+# of one vertex list n - 1 members, so without the ambient limit these
+# inputs run out of memory or past the timeout
+AMBIENT_VERBS = {
+    "delta": ("delta",), "dual": ("dual",), "sr": ("sr",),
+    "link": ("link", "--face", "1"), "check": ("check", "--fields", "q"),
+}
+
+
+@pytest.mark.parametrize("n", [10 ** 6, 10 ** 11])
+@pytest.mark.parametrize("verb", sorted(AMBIENT_VERBS))
+def test_an_ambient_count_above_the_limit_exits_two_at_once(tmp_path, verb,
+                                                            n):
+    done = run_child(tmp_path, *AMBIENT_VERBS[verb],
+                     text=f"n {n}\nfacet 1\n", timeout=5)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr[-500:]
+    assert done.stderr == (f"error: {tmp_path / 'input.cplx'}: ambient "
+                           f"vertex count {n:,} exceeds the limit 32,768\n")
+
+
+# sha256 of the top-level and each verb's --help screen at 80 columns
+HELP_DIGESTS = {
+    "":
+        "dd99ab00780d08e5e0bc77933ea085d62fedc059c7468aeb0bbd7dba89e88c72",
+    "homology":
+        "6af8a0cf96a566e550d003fe81c3e377557f06337dde8e911865563bdfad6bb7",
+    "depth":
+        "e24ba1d7db4e710f2e6acad3a2221473974dae9c1ebc1097178d7049908b9502",
+    "delta":
+        "c1c3e4ce1c74050c675d61fc5f2036bacb41d6ef9760354e6aae122433406b00",
+    "dual":
+        "db1a065adf47cf5d7fa71dc09c3d6109256fa778cf06470d8cae46146e30bb9b",
+    "nerve":
+        "727e7c329cb704fe14c90cfab94f7ff8b812b5893c546c39b9a11941d86381d9",
+    "sr":
+        "de72abcbfbf1465831bc3d3d70729b32fe9c496e8266417a10891cb4e791bdf5",
+    "link":
+        "4f1cdde8bc2c159e3b582b980ee6eff26dcc29ce5799eac826c806fdb7ce018e",
+    "check":
+        "e9de10c6c668d1d3e245ab49ac72022968f8f6904f277e28c613b506e664d1ca",
+    "sweep":
+        "0fd7d668b75ac88292825a5d7754011c1d869c6a5d8cdace0028292b89e3b8fe",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(HELP_DIGESTS),
+                         ids=lambda verb: verb or "top")
+def test_help_screens_are_pinned(capsys, monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"] if verb else ["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[verb], out
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+README_INPUTS = {
+    "hollow.cplx": HOLLOW,
+    "rp2.cplx": render_complex_text(rp2_complex()),
+    "two-edges.cplx": "n 24\nfacet 1 2\nfacet 3 4\n",
+}
+
+
+def readme_examples():
+    """(argv, printed lines) for each `$ spectral-delta` line of the
+    README, the printed lines running up to the next blank line."""
+    examples, shown = [], None
+    for line in README.read_text().splitlines():
+        if line.startswith("$ spectral-delta "):
+            shown = []
+            examples.append((shlex.split(line[2:], comments=True)[1:], shown))
+        elif not line.strip() or line == "```":
+            shown = None
+        elif shown is not None:
+            shown.append(line)
+    return examples
+
+
+def test_readme_cli_examples_print_what_the_readme_shows(capsys, monkeypatch,
+                                                         tmp_path):
+    for name, text in README_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SPECTRAL_DELTA_THREADS", raising=False)
+    examples = readme_examples()
+    assert len(examples) == 8
+    for argv, shown in examples:
+        _, out, err = run(capsys, *argv)
+        printed = [line for line in (out + err).splitlines()
+                   if not line.startswith("elapsed: ")]
+        assert printed == [line for line in shown
+                           if not line.startswith("elapsed: ")], argv

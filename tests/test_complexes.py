@@ -8,6 +8,7 @@ import pytest
 
 from spectral_delta import (
     DegenerateDualWarning,
+    PrimeFamily,
     SimplicialComplex,
     alexander_dual,
     boundary_matrix,
@@ -26,7 +27,8 @@ from spectral_delta import (
 from spectral_delta import complexes
 from spectral_delta.checks import (_invariant, enumerate_complexes,
                                    random_complexes)
-from spectral_delta.complexes import FACE_BUDGET, _canonical_form, _core
+from spectral_delta.complexes import (AMBIENT_LIMIT, FACE_BUDGET,
+                                     _canonical_form, _core)
 
 from oracles import (
     brute_canonical_form,
@@ -102,6 +104,52 @@ def test_direct_construction_validates_antichain():
         SimplicialComplex(3, ((2, 1),))
     with pytest.raises(ValueError):
         SimplicialComplex(3, ((1, 3), (1, 2)))  # not lexicographically sorted
+
+
+# complexes and prime families share one validator; each keeps its words
+VALIDATION_ERRORS = [
+    (lambda: SimplicialComplex(-1, ()),
+     "ambient vertex count must be nonnegative"),
+    (lambda: SimplicialComplex(3, ((2, 1),)),
+     "facet (2, 1) is not strictly increasing"),
+    (lambda: SimplicialComplex(2, ((3,),)),
+     "facet (3,) outside ambient set 1..2"),
+    (lambda: SimplicialComplex(3, ((1, 2), (1, 2, 3))),
+     "facets must form an antichain"),
+    (lambda: SimplicialComplex(3, ((1, 3), (1, 2))),
+     "facets must be sorted lexicographically"),
+    (lambda: make_complex(-1, []), "ambient vertex count must be nonnegative"),
+    (lambda: full_simplex(-1), "ambient vertex count must be nonnegative"),
+    (lambda: PrimeFamily(-1, ()), "ambient variable count must be nonnegative"),
+    (lambda: PrimeFamily(3, ((2, 1),)),
+     "prime (2, 1) is not strictly increasing"),
+    (lambda: PrimeFamily(2, ((3,),)), "prime (3,) outside variables 1..2"),
+    (lambda: PrimeFamily(3, ((1,), (1,))), "primes must form an antichain"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(VALIDATION_ERRORS)))
+def test_validation_errors_keep_their_words(case):
+    build, message = VALIDATION_ERRORS[case]
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_outside_input_names_at_most_the_ambient_limit():
+    n = AMBIENT_LIMIT
+    assert n == 1 << 15
+    assert make_complex(n, [(n,)]).vertices == (n,)
+    assert full_simplex(n).dimension == n - 1
+    assert SimplicialComplex(n, ((1,),)).n == PrimeFamily(n, ((1,),)).ambient
+    for build, unit in [(make_complex, "vertex"), (full_simplex, "vertex"),
+                        (SimplicialComplex, "vertex"),
+                        (PrimeFamily, "variable")]:
+        args = (n + 1,) if build is full_simplex else (n + 1, ((1,),))
+        with pytest.raises(ValueError) as exc:
+            build(*args)
+        assert str(exc.value) == (f"ambient {unit} count 32,769 exceeds "
+                                  "the limit 32,768")
 
 
 def test_is_face_basics(hollow_triangle, irrelevant2):

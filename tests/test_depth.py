@@ -18,7 +18,7 @@ from spectral_delta import (
     restriction,
 )
 from spectral_delta.checks import enumerate_complexes, random_complexes
-from spectral_delta.homology import _reduced_cached
+from spectral_delta.homology import reduced_homology
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -103,7 +103,7 @@ def test_table_shares_memo_entries_between_isomorphic_restrictions():
     K = make_complex(8, combinations(range(1, 9), 3))
     clear_caches()
     t = hochster_betti_table(K, Q)
-    assert _reduced_cached.cache_info().currsize <= 9
+    assert reduced_homology.cache_info().currsize <= 9
     assert t.max_degree() == 5 == K.n - depth(K, Q).depth
 
 
