@@ -9,6 +9,8 @@ independent ways, and sweeps whole corpora of complexes through a suite
 of theorem checks.
 """
 
+import sys
+
 from .complexes import (
     DegenerateDualWarning,
     SimplicialComplex,
@@ -61,22 +63,20 @@ from .checks import (
     sweep,
 )
 from .fixtures import rp2_complex, rp2_self_check
-from .checks import _orbits
-from .complexes import _core, _dual
-from .depth import _link_unless_cone
-from .homology import _reduction
 
 __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every memo table of the library.  Each is a bounded
-    `functools.lru_cache`; values cached on a complex itself live and go
-    with that complex."""
-    for memo in (_core, _dual, _reduction, reduced_homology, sr_generators,
-                 nerve_of_facets, delta_of_complex, _link_unless_cone, depth,
-                 _orbits):
-        memo.cache_clear()
+    """Empty every memo table of the library: each object with a
+    `cache_clear` in a loaded module of the package (found in sys.modules,
+    as the function `depth` hides its module).  Values cached on a
+    complex itself live and go with that complex."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for obj in list(vars(mod).values()):
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
 
 
 __all__ = [

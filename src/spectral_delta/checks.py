@@ -44,6 +44,7 @@ from .complexes import (
 )
 from .depth import depth
 from .homology import FieldSpec, Q, Z, reduced_homology
+from .serialize import complex_to_json
 from .stanley_reisner import (
     delta_of_complex,
     nerve_of_facets,
@@ -56,9 +57,9 @@ EXHAUSTIVE_LIMIT = 5
 def enumerate_complexes(n: int) -> Iterator[SimplicialComplex]:
     """Every non-void complex on the ambient set 1..n, exactly once.
 
-    The irrelevant complex comes first; the rest are produced by a
-    backtracking walk over nonempty subsets in size order, admitting a
-    subset as a face only once all its maximal proper subsets are faces.
+    A backtracking walk over nonempty subsets in size order, admitting a
+    subset as a face only once all its maximal proper subsets are faces;
+    its first leaf chooses nothing and gives the irrelevant complex.
     Counts: n=1 gives 2, n=2 gives 5, n=3 gives 19.  Refuses n beyond 5,
     where exhaustive enumeration stops being practical.
     """
@@ -68,8 +69,6 @@ def enumerate_complexes(n: int) -> Iterator[SimplicialComplex]:
         raise ValueError(
             f"exhaustive enumeration is capped at n = {EXHAUSTIVE_LIMIT}; "
             "use random_complexes for larger vertex sets")
-    yield _from_masks(n, [0])
-
     subsets = sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m))
     total = len(subsets)
     chosen: set[int] = set()
@@ -86,8 +85,7 @@ def enumerate_complexes(n: int) -> Iterator[SimplicialComplex]:
 
     def walk(idx: int) -> Iterator[SimplicialComplex]:
         if idx == total:
-            if chosen:
-                yield _from_masks(n, _maximal(chosen))
+            yield _from_masks(n, _maximal(chosen) or [0])
             return
         m = subsets[idx]
         yield from walk(idx + 1)
@@ -147,8 +145,7 @@ Verdict = tuple[dict | None, bool]
 
 
 def _describe(K: SimplicialComplex) -> str:
-    return json.dumps({"n": K.n, "facets": [list(f) for f in K.facets]},
-                      separators=(",", ":"))
+    return json.dumps(complex_to_json(K), separators=(",", ":"))
 
 
 def _depth_for(K: SimplicialComplex, coeff: FieldSpec) -> int:
@@ -323,7 +320,8 @@ def _known(check_ids: Iterable[str]) -> tuple[str, ...]:
     check_ids = tuple(check_ids)
     for cid in check_ids:
         if cid not in CHECKS:
-            raise ValueError(f"unknown check {cid!r}")
+            raise ValueError(f"unknown check {cid!r} "
+                             f"(known: {', '.join(CHECK_IDS)})")
     return check_ids
 
 
@@ -336,7 +334,7 @@ def _invariant(K: SimplicialComplex) -> tuple:
 
 @lru_cache(maxsize=1 << 12)
 def _orbits(invariant: tuple, check_ids: tuple[str, ...],
-            coeffs: tuple[FieldSpec, ...], torsion: bool) -> list[list]:
+            coeffs: tuple[FieldSpec, ...]) -> list[list]:
     """The isomorphism classes met with one invariant under one choice of
     checks and coefficients: [first complex, {(check, coefficients):
     expect_pass} of the runs that passed, torsion flag, canonical form or
@@ -350,19 +348,17 @@ def run_instance(K: SimplicialComplex, check_ids: Sequence[str],
     inapplicable combinations are skipped silently and leave no record.
     A coefficient-free check is recorded under the label "-".  Complexes
     isomorphic to one already met share its verdicts (see `_run_one`)."""
-    return _run_one(K, _known(check_ids), tuple(coeffs), torsion=False)[0]
+    return _run_one(K, _known(check_ids), tuple(coeffs))[0]
 
 
 def _run_one(K: SimplicialComplex, check_ids: tuple[str, ...],
-             coeffs: tuple[FieldSpec, ...],
-             torsion: bool = True) -> tuple[list[CheckOutcome], bool]:
+             coeffs: tuple[FieldSpec, ...]) -> tuple[list[CheckOutcome], bool]:
     """Outcomes for one complex, plus whether it shows integral torsion
-    when asked and Z is among the coefficients, as a sweep tracks it.
-    A complex isomorphic to one already met takes that orbit's verdicts
-    and flag, and runs only the checks that failed again, for witnesses
-    in its own labels.  Forms are computed only within one invariant."""
-    torsion = torsion and Z in coeffs
-    orbits = _orbits(_invariant(K), check_ids, coeffs, torsion)
+    when Z is among the coefficients, as a sweep tracks it.  A complex
+    isomorphic to one already met takes that orbit's verdicts and flag,
+    and runs only the checks that failed again, for witnesses in its own
+    labels.  Forms are computed only within one invariant."""
+    orbits = _orbits(_invariant(K), check_ids, coeffs)
     form = _canonical_form(K) if orbits else None
     if orbits and orbits[0][3] is None:  # later orbits came with their form
         orbits[0][3] = _canonical_form(orbits[0][0])
@@ -387,8 +383,8 @@ def _run_one(K: SimplicialComplex, check_ids: tuple[str, ...],
     if orbit is None:
         orbit = [K, {(o.check_id, o.coeff): o.expect_pass
                      for o in out if o.passed},
-                 torsion and any(tors for _, _, tors
-                                 in reduced_homology(K, Z).entries), form]
+                 Z in coeffs and any(tors for _, _, tors
+                                     in reduced_homology(K, Z).entries), form]
         orbits.append(orbit)
     return out, orbit[2]
 

@@ -138,10 +138,12 @@ def _from_masks(n: int, masks: Iterable[int]) -> SimplicialComplex:
 
 def _check_members(n: int, members: Iterable[Simplex] = (),
                    noun: str = "facet", unit: str = "vertex",
-                   where: str = "ambient set") -> None:
-    """Raise ValueError unless 0 <= n <= AMBIENT_LIMIT and the members
-    are strictly increasing tuples within 1..n that form an antichain;
-    the words name the members, the ambient elements and their set."""
+                   where: str = "ambient set",
+                   antichain: bool = True) -> list[int]:
+    """The members' masks, each built after its range check; ValueError
+    unless 0 <= n <= AMBIENT_LIMIT and the members are strictly
+    increasing tuples within 1..n, an antichain if asked.  The words
+    name the members, the ambient elements and their set."""
     if n < 0:
         raise ValueError(f"ambient {unit} count must be nonnegative")
     if n > AMBIENT_LIMIT:
@@ -154,8 +156,9 @@ def _check_members(n: int, members: Iterable[Simplex] = (),
         if f and (f[0] < 1 or f[-1] > n):
             raise ValueError(f"{noun} {f} outside {where} 1..{n}")
         masks.append(_mask(f))
-    if len(_maximal(masks)) != len(masks):
+    if antichain and len(_maximal(masks)) != len(masks):
         raise ValueError(f"{noun}s must form an antichain")
+    return masks
 
 
 @dataclass(frozen=True)

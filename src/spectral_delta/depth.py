@@ -88,11 +88,12 @@ class DepthReport:
                 f"dim={self.krull_dim} CM={cm}")
 
 
-def _check_feasible(K: SimplicialComplex, coeff: FieldSpec):
+def _check_feasible(K: SimplicialComplex, coeff: FieldSpec, what: str):
+    if not coeff.is_field:
+        raise ValueError(f"{what} needs field coefficients "
+                         "(q, f2, f3, fp:<p>)")
     if K.is_void:
         raise ValueError("the void complex has no face ring")
-    if not coeff.is_field:
-        raise ValueError("Betti numbers here need field coefficients")
 
 
 def hochster_betti_table(K: SimplicialComplex, coeff: FieldSpec,
@@ -102,7 +103,7 @@ def hochster_betti_table(K: SimplicialComplex, coeff: FieldSpec,
     The restriction to each vertex subset W contributes its degree-j
     homology dimension at homological degree |W| - j - 1.
     """
-    _check_feasible(K, coeff)
+    _check_feasible(K, coeff, "the Betti table")
     if K.n > max_n:
         raise ValueError(f"n = {K.n} exceeds the cap of {max_n}: the table "
                          "walks 2**n vertex subsets; raise max_n to proceed")
@@ -133,7 +134,7 @@ def depth(K: SimplicialComplex, coeff: FieldSpec) -> DepthReport:
     are keyed on and built from the masks.  The irrelevant complex has
     depth 0 and Krull dimension 0, so it counts as Cohen-Macaulay.
     """
-    _check_feasible(K, coeff)
+    _check_feasible(K, coeff, "depth")
     krull = K.dimension + 1
     d = krull
     for m in (m for layer in _face_masks(K) for m in layer):

@@ -62,8 +62,7 @@ _MAX_PRIME = 1 << 31
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+    # FieldSpec has already refused p < 2
     if p % 2 == 0:
         return p == 2
     d = 3

@@ -31,6 +31,9 @@ from .complexes import (
 # delta_of_primes walks all 2**k index sets of a k-member family
 SUBSET_ENUM_LIMIT = 20
 
+# how the member validator names primes, variables and their set
+_WORDS = {"noun": "prime", "unit": "variable", "where": "variables"}
+
 
 @dataclass(frozen=True)
 class PrimeFamily:
@@ -45,15 +48,16 @@ class PrimeFamily:
     primes: tuple[Simplex, ...]
 
     def __post_init__(self):
-        _check_members(self.ambient, self.primes, noun="prime",
-                       unit="variable", where="variables")
+        _check_members(self.ambient, self.primes, **_WORDS)
 
     @classmethod
     def from_subsets(cls, ambient: int,
                      subsets: Iterable[Iterable[int]]) -> "PrimeFamily":
         """Canonicalize arbitrary input: drop duplicates and non-minimal
         members, sort lexicographically."""
-        masks = [_mask(s) for s in subsets]
+        masks = _check_members(ambient, [tuple(sorted(set(s)))
+                                         for s in subsets],
+                               antichain=False, **_WORDS)
         union = 0
         for m in masks:
             union |= m

@@ -85,6 +85,12 @@ def test_random_corpus_rejects_a_negative_count():
     assert random_complexes(8, seed=1, count=0) == []
 
 
+def test_random_corpus_needs_an_ambient_vertex():
+    with pytest.raises(ValueError,
+                       match="^need at least one ambient vertex$"):
+        random_complexes(0, seed=1, count=1)
+
+
 def test_outcome_expectation_polarity():
     good = CheckOutcome("x", "{}", "Q", passed=True)
     assert not good.unexpected
@@ -322,7 +328,10 @@ def test_run_instance_and_sweep_refuse_an_unknown_check_alike(
         hollow_triangle):
     for run in (lambda ids: run_instance(hollow_triangle, ids, (Q,)),
                 lambda ids: sweep(3, check_ids=ids)):
-        with pytest.raises(ValueError, match="^unknown check 'nope'$"):
+        with pytest.raises(ValueError, match=(
+                r"^unknown check 'nope' \(known: hartshorne, depth_vanishing, "
+                r"few_facets, generator_count, alexander_duality, nerve, "
+                r"delta_iso_nerve, uct\)$")):
             run(["nerve", "nope"])
 
 
@@ -586,7 +595,7 @@ def test_a_failure_met_again_in_an_orbit_gets_its_own_witness(monkeypatch):
     rep = sweep(5, mode="random", seed=0, count=2, coeffs=coeffs,
                 check_ids=check_ids, threads=1)
     # L was met as a member of K's orbit
-    [orbit] = checks._orbits(checks._invariant(L), check_ids, coeffs, False)
+    [orbit] = checks._orbits(checks._invariant(L), check_ids, coeffs)
     assert orbit[0] is K
     direct = []
     for M in (K, L):

@@ -218,6 +218,50 @@ def test_link_rejects_nonface(capsys, hollow_file):
     assert code == 2 and "expected comma-separated" in err
 
 
+def test_link_refuses_a_face_outside_the_ambient_set(capsys, hollow_file):
+    code, out, err = run(capsys, "link", hollow_file, "--face", "9")
+    assert (code, out, err) == (
+        2, "", "error: face (9,) outside ambient set 1..3\n")
+
+
+UNKNOWN_CHECK = ("unknown check 'nope' (known: hartshorne, depth_vanishing, "
+                 "few_facets, generator_count, alexander_duality, nerve, "
+                 "delta_iso_nerve, uct)")
+BAD_FIELD = ("unknown coefficient flag 'bogus' (expected z, q, f2, f3 or "
+             "fp:<prime>)")
+
+# with two faults in one command line, the one reported first: check ids
+# before fields under `check`, fields first under `sweep`, and depth's
+# field rule before the void complex
+ERROR_ORDER = {
+    "check_ids_then_fields": (
+        ("check", HOLLOW, "--checks", "nope", "--fields", "bogus"),
+        UNKNOWN_CHECK),
+    "sweep_fields_then_ids": (
+        ("sweep", None, "-n", "3", "--checks", "nope", "--fields", "bogus"),
+        BAD_FIELD),
+    "sweep_exhaustive_ids": (("sweep", None, "-n", "5", "--checks", "nope"),
+                             UNKNOWN_CHECK),
+    "depth_field_then_void": (("depth", "n 3\n", "--field", "z"),
+                              "depth needs field coefficients "
+                              "(q, f2, f3, fp:<p>)"),
+    "depth_void": (("depth", "n 3\n", "--field", "q"),
+                   "the void complex has no face ring"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_ORDER))
+def test_the_first_of_two_faults_is_reported(capsys, tmp_path, case):
+    (verb, text, *flags), message = ERROR_ORDER[case]
+    argv = [verb] + flags
+    if text is not None:
+        p = tmp_path / "input.cplx"
+        p.write_text(text)
+        argv.insert(1, str(p))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_check_fixture_battery(capsys):
     code, out, _ = run(capsys, "check", "--fixture", "rp2")
     assert code == 0
@@ -471,6 +515,15 @@ def test_an_ambient_count_above_the_limit_exits_two_at_once(tmp_path, verb,
     assert (done.returncode, done.stdout) == (2, ""), done.stderr[-500:]
     assert done.stderr == (f"error: {tmp_path / 'input.cplx'}: ambient "
                            f"vertex count {n:,} exceeds the limit 32,768\n")
+
+
+def test_a_json_prime_far_outside_the_variables_exits_two_at_once(tmp_path):
+    # 37 bytes; a mask of its variable would take 12.5 GB
+    text = '{"n": 2, "primes": [[100000000000]]}'
+    done = run_child(tmp_path, "delta", text=text, timeout=5)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr[-500:]
+    assert done.stderr == (f"error: {tmp_path / 'input.cplx'}: prime "
+                           "(100000000000,) outside variables 1..2\n")
 
 
 # sha256 of the top-level and each verb's --help screen at 80 columns

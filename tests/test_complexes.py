@@ -152,6 +152,24 @@ def test_outside_input_names_at_most_the_ambient_limit():
                                   "the limit 32,768")
 
 
+# a face or vertex set named from outside is checked against 1..n before
+# any mask is built
+OUTSIDE_FACES = {
+    "is_face": (lambda K: K.is_face((9,)),
+                "face (9,) outside ambient set 1..3"),
+    "restriction": (lambda K: restriction(K, [1, 9]),
+                    "vertex 9 out of range 1..3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE_FACES))
+def test_a_face_outside_the_ambient_set_is_refused(hollow_triangle, case):
+    build, message = OUTSIDE_FACES[case]
+    with pytest.raises(ValueError) as exc:
+        build(hollow_triangle)
+    assert str(exc.value) == message
+
+
 def test_is_face_basics(hollow_triangle, irrelevant2):
     assert hollow_triangle.is_face((1, 2))
     assert not hollow_triangle.is_face((1, 2, 3))

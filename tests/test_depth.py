@@ -80,6 +80,21 @@ def test_table_rejects_bad_inputs(hollow_triangle):
     assert t.max_degree() == 0
 
 
+@pytest.mark.parametrize("route,noun", [(depth, "depth"),
+                                        (hochster_betti_table,
+                                         "the Betti table")])
+def test_routes_name_the_field_rule_before_the_void_complex(route, noun):
+    void = make_complex(2, [])
+    for K in (void, full_simplex(2)):
+        with pytest.raises(ValueError) as exc:
+            route(K, Z)
+        assert str(exc.value) == (f"{noun} needs field coefficients "
+                                  "(q, f2, f3, fp:<p>)")
+    with pytest.raises(ValueError) as exc:
+        route(void, Q)
+    assert str(exc.value) == "the void complex has no face ring"
+
+
 def test_depth_has_no_vertex_cap():
     # 2**17 faces, within the face budget; the table needs max_n=17
     assert depth(full_simplex(17), Q).depth == 17

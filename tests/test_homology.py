@@ -57,6 +57,27 @@ def test_fieldspec_rejects_composite_characteristic():
         FieldSpec.prime(2 ** 31 + 11)
 
 
+FIELD_ERRORS = {
+    "unknown_tag": (("reals",), "unknown coefficient tag 'reals'"),
+    "rationals_with_a_characteristic": (
+        ("rationals", 3), "characteristic only applies to prime fields"),
+    "odd_square": (("prime_field", 9), "9 is not prime"),
+    "one": (("prime_field", 1),
+            "prime field characteristic must satisfy 2 <= p < 2**31"),
+    "no_characteristic": (("prime_field",),
+                          "prime field characteristic must satisfy "
+                          "2 <= p < 2**31"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_ERRORS))
+def test_fieldspec_errors(case):
+    args, message = FIELD_ERRORS[case]
+    with pytest.raises(ValueError) as exc:
+        FieldSpec(*args)
+    assert str(exc.value) == message
+
+
 def test_augmentation_row_is_all_ones(hollow_triangle):
     d0 = boundary_matrix(hollow_triangle, 0)
     assert d0.rows == 1 and d0.cols == 3

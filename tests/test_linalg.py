@@ -39,6 +39,21 @@ def test_determinant_needs_square():
         determinant(IntMatrix.from_rows([[1, 2]]))
 
 
+MATRIX_ERRORS = {
+    "negative_rows": ((-1, 2), "matrix dimensions must be nonnegative"),
+    "too_few_rows": ((2, 1, [[1]]), "data shape does not match dimensions"),
+    "short_row": ((1, 2, [[1]]), "data shape does not match dimensions"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_ERRORS))
+def test_matrix_shape_errors(case):
+    args, message = MATRIX_ERRORS[case]
+    with pytest.raises(ValueError) as exc:
+        IntMatrix(*args)
+    assert str(exc.value) == message
+
+
 def test_determinant_frozen_values():
     assert determinant(IntMatrix.identity(3)) == 1
     A = IntMatrix.from_rows([[2, 0, 1], [1, 1, 0], [0, 3, 1]])

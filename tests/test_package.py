@@ -9,7 +9,8 @@ import types
 from pathlib import Path
 
 import spectral_delta
-from spectral_delta import Q, Z, hochster_betti_table, rp2_complex, sweep
+from spectral_delta import (FieldSpec, Q, Z, alexander_dual,
+                            hochster_betti_table, rp2_complex, sweep)
 
 
 def test_all_matches_the_public_namespace():
@@ -49,6 +50,24 @@ def test_clear_caches_empties_every_bounded_memo_table():
             if memo.cache_info().currsize == 0} == set()
     spectral_delta.clear_caches()
     assert {name for name, memo in tables.items()
+            if memo.cache_info().currsize} == set()
+
+
+def test_clear_caches_reaches_every_memo_a_module_holds():
+    # what clear_caches walks: each object with a cache_clear in a loaded
+    # module of the package, whether defined or imported there
+    memos = {f"{name}.{key}": obj
+             for name, mod in list(sys.modules.items())
+             if name.startswith("spectral_delta.")
+             for key, obj in vars(mod).items() if hasattr(obj, "cache_clear")}
+    assert "spectral_delta.depth._link_unless_cone" in memos
+    sweep(3, coeffs=(Z, Q, FieldSpec.prime(2)), threads=1)
+    alexander_dual(rp2_complex())
+    hochster_betti_table(rp2_complex(), Q)
+    assert {name for name, memo in memos.items()
+            if memo.cache_info().currsize == 0} == set()
+    spectral_delta.clear_caches()
+    assert {name for name, memo in memos.items()
             if memo.cache_info().currsize} == set()
 
 

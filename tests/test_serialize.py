@@ -147,6 +147,14 @@ def test_parse_primes_rejects_other_keywords():
         parse_primes_text("n 3\nfacet 1\n")
 
 
+def test_json_primes_prune_with_notice():
+    fam, notices = primes_from_json({"n": 3, "primes": [[2, 1], [1, 2, 3],
+                                                        [1, 2]]})
+    assert fam.primes == ((1, 2),)
+    assert notices == ["duplicate or non-minimal primes pruned"]
+    assert primes_from_json({"n": 3, "primes": [[1], [2]]})[1] == []
+
+
 def test_primes_round_trips():
     fam = PrimeFamily(4, ((1, 2), (3,)))
     back, notices = parse_primes_text(render_primes_text(fam))

@@ -134,6 +134,32 @@ def test_prime_family_from_subsets_canonicalizes():
     assert fam.primes == ((1, 2), (3,))
 
 
+VOID = make_complex(3, [])
+
+# the void complex has no ideal and no facets; a prime's range is checked
+# before its mask is built (a far-out variable is tested in a child
+# process, under a memory cap), even when pruning would drop the prime
+DICTIONARY_ERRORS = {
+    "minimal_primes_of_void": (lambda: minimal_primes(VOID),
+                               "the void complex has no face ideal"),
+    "nerve_of_void": (lambda: nerve_of_facets(VOID),
+                      "the void complex has no facets to cover it"),
+    "variable_zero": (lambda: PrimeFamily.from_subsets(2, [[0]]),
+                      "prime (0,) outside variables 1..2"),
+    "non_minimal_and_out": (
+        lambda: PrimeFamily.from_subsets(2, [[1], [5, 1]]),
+        "prime (1, 5) outside variables 1..2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DICTIONARY_ERRORS))
+def test_dictionary_errors(case):
+    build, message = DICTIONARY_ERRORS[case]
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_delta_of_hollow_triangle_primes():
     fam = PrimeFamily(3, ((1,), (2,), (3,)))
     assert delta_of_primes(fam).facets == ((1, 2), (1, 3), (2, 3))
