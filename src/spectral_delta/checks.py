@@ -30,7 +30,6 @@ import json
 import os
 import random
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial
 from typing import Iterable, Iterator, Sequence
@@ -42,7 +41,7 @@ from .complexes import (
     _maximal,
     alexander_dual,
 )
-from .depth import depth
+from .depth import _check_feasible, depth
 from .homology import FieldSpec, Q, Z, reduced_homology
 from .serialize import complex_to_json
 from .stanley_reisner import (
@@ -154,13 +153,23 @@ def _depth_for(K: SimplicialComplex, coeff: FieldSpec) -> int:
     return depth(K, base).depth
 
 
+def _derived_profile(K: SimplicialComplex, coeff: FieldSpec):
+    """Reduced homology of the derived complex, which both depth checks
+    read first: each asks for depth only when a nonzero group could make
+    its statement fail, since any witness reports such a group whatever
+    the depth.  On a cone the derived complex is a simplex, so no depth
+    is computed.  The void complex is refused as depth refuses it."""
+    _check_feasible(K, Q, "depth")
+    return reduced_homology(delta_of_complex(K), coeff)
+
+
 def check_hartshorne(K: SimplicialComplex, coeff: FieldSpec) -> Verdict:
     """depth >= 2 forces the derived complex to be connected."""
+    profile = _derived_profile(K, coeff)
+    if profile.group_is_trivial(0):
+        return None, True
     d = _depth_for(K, coeff)
     if d < 2:
-        return None, True
-    profile = reduced_homology(delta_of_complex(K), coeff)
-    if profile.group_is_trivial(0):
         return None, True
     return {"depth": d, "h0_free": profile.free_rank(0),
             "h0_torsion": list(profile.torsion(0))}, True
@@ -174,8 +183,10 @@ def check_depth_vanishing(K: SimplicialComplex, coeff: FieldSpec) -> Verdict:
     zero is reported with expect_pass=False, a positive sighting of the
     known phenomenon rather than a theorem violation.  A nonzero free
     part would contradict the rational statement and stays unexpected."""
+    profile = _derived_profile(K, coeff)
+    if max(profile.nonzero_degrees(), default=-1) < 0:
+        return None, True
     d = _depth_for(K, coeff)
-    profile = reduced_homology(delta_of_complex(K), coeff)
     first_bad = None
     for j in range(0, d - 1):
         if profile.group_is_trivial(j):
@@ -316,8 +327,11 @@ def _applicable(K: SimplicialComplex, check_id: str) -> bool:
 
 
 def _known(check_ids: Iterable[str]) -> tuple[str, ...]:
-    """The check ids as a tuple; ValueError names the first unknown one."""
+    """The check ids as a tuple; ValueError names the first unknown one,
+    or says that there is none at all."""
     check_ids = tuple(check_ids)
+    if not check_ids:
+        raise ValueError("no checks selected")
     for cid in check_ids:
         if cid not in CHECKS:
             raise ValueError(f"unknown check {cid!r} "
@@ -487,8 +501,9 @@ def sweep(n: int, mode: str = "exhaustive", seed: int | None = None,
     mode "exhaustive" walks every non-void complex on 1..n (n <= 5);
     mode "random" draws `count` seeded samples.  Identical parameters
     give an identical report body; elapsed time lives outside the body.
-    Instances are processed in corpus order even when parallel, so
-    reports merge deterministically.
+    With more than one worker the corpus is cut into consecutive chunks,
+    about four a worker; each worker returns its chunks' reports and
+    `_merge` joins them in corpus order, so the body is the serial one.
     """
     check_ids = _known(check_ids)
     coeffs = tuple(coeffs)
@@ -503,23 +518,54 @@ def sweep(n: int, mode: str = "exhaustive", seed: int | None = None,
     else:
         raise ValueError(f"unknown sweep mode {mode!r}")
 
-    report = SweepReport(n, mode, seed_used, count_used,
-                         tuple(c.label for c in coeffs), check_ids)
+    header = (n, mode, seed_used, count_used, coeffs, check_ids)
     start = time.monotonic()
     workers = resolve_threads(threads)
-    run = partial(_run_one, check_ids=check_ids, coeffs=coeffs)
-    with ExitStack() as stack:
-        results = map(run, instances)
-        if workers > 1 and len(instances) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(run, instances, chunksize=64)
-        for outcomes, has_torsion in results:
-            report.complexes += 1
-            if has_torsion:
-                report.torsion_sightings += 1
-            for o in outcomes:
-                report.record(o)
+    if workers > 1 and len(instances) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        size = -(-len(instances) // (4 * workers))  # 4 chunks a worker
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            report = _merge(pool.map(
+                partial(_sweep_part, header),
+                [instances[i:i + size]
+                 for i in range(0, len(instances), size)]))
+    else:
+        report = _sweep_part(header, instances)
     report.elapsed = time.monotonic() - start
+    return report
+
+
+def _sweep_part(header: tuple, chunk: Sequence[SimplicialComplex]
+                ) -> SweepReport:
+    """The report of a sweep over consecutive members of its corpus: the
+    sweep's header (n, mode, seed, count, coefficients, check ids) and
+    the counts of this chunk alone.  A worker process returns one."""
+    n, mode, seed, count, coeffs, check_ids = header
+    part = SweepReport(n, mode, seed, count, tuple(c.label for c in coeffs),
+                       check_ids)
+    for K in chunk:
+        outcomes, has_torsion = _run_one(K, check_ids, coeffs)
+        part.complexes += 1
+        part.torsion_sightings += has_torsion
+        for o in outcomes:
+            part.record(o)
+    return part
+
+
+def _merge(parts: Iterable[SweepReport]) -> SweepReport:
+    """The reports of consecutive chunks, given in corpus order, as the
+    report of the whole corpus: counts and tallies summed, and failures
+    kept in order up to the cap, as one serial part would keep them."""
+    parts = iter(parts)
+    report = next(parts)
+    for part in parts:
+        report.complexes += part.complexes
+        report.torsion_sightings += part.torsion_sightings
+        report.unexpected_failures += part.unexpected_failures
+        for cid, t in part.tallies.items():
+            mine = report.tallies.setdefault(cid, dict.fromkeys(t, 0))
+            for key, value in t.items():
+                mine[key] += value
+        room = report.FAILURE_CAP - len(report.failures)
+        report.failures += part.failures[:room]
     return report

@@ -80,7 +80,12 @@ def _load(path: str, primes: bool = False):
 
 
 def _parse_fields(tokens: str) -> list[FieldSpec]:
-    return [FieldSpec.parse(t) for t in tokens.split(",") if t.strip()]
+    # the library runs coefficient-free checks with no coefficients at
+    # all; a command line that names none has made a mistake
+    fields = [FieldSpec.parse(t) for t in tokens.split(",") if t.strip()]
+    if not fields:
+        raise ValueError("no coefficients selected")
+    return fields
 
 
 def _print_complex(K: SimplicialComplex, as_json: bool):

@@ -16,10 +16,11 @@ Derived complexes (links, restrictions, duals, nerves, strong cores)
 are built from facet bitmasks; validation runs on outside input only.
 Minimal nonfaces and duals come from minimal transversals, not from all
 2**n subsets.  Faces have one enumerator, `_face_masks`, which lists
-them as bitmasks by size; the chains, the depth walk, the face counts
-and the tuple views all read it, and no face table is cached on a
-complex.  It refuses to walk more than `FACE_BUDGET` faces, as bounded
-by the sum of 2**|F| over the facets; a dual lists no more vertex entries.
+them as bitmasks by size; the chains, the face counts and the tuple
+views all read it, and no face table is cached on a complex.  It refuses
+to walk more than `FACE_BUDGET` faces, as bounded by the sum of 2**|F|
+over the facets (`_check_face_budget`, which the depth walk applies
+too); a dual lists no more vertex entries.
 A complex or prime family built from outside input has at most
 `AMBIENT_LIMIT` vertices or variables.
 """
@@ -107,15 +108,21 @@ def _common(masks: Iterable[int], m: int) -> int:
     return common
 
 
-def _face_masks(K: SimplicialComplex) -> list[list[int]]:
-    """The faces of K as masks, listed by vertex count (the empty face
-    first) and in increasing order within a count: every submask of
-    every facet, each once.  No list at all for the void complex.  Raises
-    ValueError, building nothing, when sum 2**|F| exceeds FACE_BUDGET."""
+def _check_face_budget(K: SimplicialComplex) -> None:
+    """Raises ValueError when sum 2**|F| over the facets of K, a bound on
+    its face count, exceeds FACE_BUDGET."""
     bound = sum(1 << f.bit_count() for f in K.facet_masks)
     if bound > FACE_BUDGET:
         raise ValueError(f"face bound {bound:,} (the sum of 2**|F| over the "
                          f"facets) exceeds the face budget {FACE_BUDGET:,}")
+
+
+def _face_masks(K: SimplicialComplex) -> list[list[int]]:
+    """The faces of K as masks, listed by vertex count (the empty face
+    first) and in increasing order within a count: every submask of
+    every facet, each once.  No list at all for the void complex.  Raises
+    ValueError, building nothing, above the face budget."""
+    _check_face_budget(K)
     seen = {0} if K.facets else set()
     for f in K.facet_masks:
         s = f

@@ -6,7 +6,10 @@ Thm II.4.1) the local cohomology of the face ring in degree i and
 multidegree -F has the dimension of the reduced homology of the link of
 the face F in degree i - |F| - 1.  Depth, the lowest i with nonzero
 local cohomology, is therefore the minimum over faces F of |F| + 1 plus
-the lowest degree carrying reduced homology of lk F.  Projective
+the lowest degree carrying reduced homology of lk F.  Only intersections
+of facets count: when F is not the intersection of the facets through
+it, a vertex of that intersection outside F lies in every facet of
+lk F, so lk F is a cone and has no reduced homology.  Projective
 dimension is n minus depth (Auslander-Buchsbaum), and Cohen-Macaulay
 means depth equals the Krull dimension dim K + 1.
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complexes import (SimplicialComplex, Simplex, _common, _face_masks,
+from .complexes import (SimplicialComplex, Simplex, _check_face_budget,
                         _link, _mask, _unmask, restriction)
 from .homology import FieldSpec, reduced_homology
 
@@ -128,35 +131,38 @@ def hochster_betti_table(K: SimplicialComplex, coeff: FieldSpec,
 def depth(K: SimplicialComplex, coeff: FieldSpec) -> DepthReport:
     """Depth report for the face ring of K over a field.
 
-    Walks the face masks layer by layer, by size, from the bound
-    dim K + 1; a face at least as large as the current bound cannot
-    lower it, so the walk stops there.  No face is unmasked: the links
-    are keyed on and built from the masks.  The irrelevant complex has
-    depth 0 and Krull dimension 0, so it counts as Cohen-Macaulay.
+    Walks the intersections of facets by size, from the bound dim K + 1;
+    a face at least as large as the current bound cannot lower it, so
+    the walk stops there.  The empty face is among them unless K is a
+    cone.  Refuses, as the face enumerator does, a complex above the
+    face budget.  The irrelevant complex has depth 0 and Krull dimension
+    0, so it counts as Cohen-Macaulay.
     """
     _check_feasible(K, coeff, "depth")
+    _check_face_budget(K)
     krull = K.dimension + 1
     d = krull
-    for m in (m for layer in _face_masks(K) for m in layer):
+    for m in _intersections(K.facet_masks):
         size = m.bit_count()
         if size >= d:
             break
-        lk = _link_unless_cone(K, m)
-        if lk is None:
-            continue
-        entries = reduced_homology(lk, coeff).entries
+        entries = reduced_homology(_link_unless_cone(K, m), coeff).entries
         if entries:
             d = min(d, size + 1 + entries[0][0])
     return DepthReport(coeff, K.n, K.n - d, d, krull, d == krull)
 
 
-@lru_cache(maxsize=1 << 16)
-def _link_unless_cone(K: SimplicialComplex,
-                      m: int) -> SimplicialComplex | None:
-    """The link of the face with mask m in K, or None when it is a cone;
-    shared by the depth walks over every field."""
-    if _common(K.facet_masks, m) != m:
-        # a vertex outside the face lies in every facet through it, so
-        # the link is a cone and has no reduced homology
-        return None
-    return _link(K, m)
+def _intersections(masks: tuple[int, ...]) -> list[int]:
+    """Every intersection of one or more of the masks, each once, by
+    size and then increasing: the masks closed under intersection."""
+    found = set(masks)
+    new = found
+    while new:
+        new = {a & b for a in new for b in masks} - found
+        found |= new
+    return sorted(found, key=lambda m: (m.bit_count(), m))
+
+
+# the links the depth walks ask for, shared by the walks over every
+# field; the link of an intersection of facets is never a cone
+_link_unless_cone = lru_cache(maxsize=1 << 16)(_link)

@@ -269,13 +269,37 @@ def reisner_cohen_macaulay(K, coeff):
         raise ValueError("the link criterion needs field coefficients")
     faces = face_set(K.n, K.facets)
     for F in faces:
-        lk = frozenset(tuple(v for v in G if v not in F)
-                       for G in faces if is_subface(F, G))
+        lk = _link_of(faces, F)
         top = max(len(G) for G in lk) - 1
         betti = field_reduced_betti(lk, coeff.p)
         if any(betti[j] for j in range(-1, top)):
             return False
     return True
+
+
+def brute_depth(K, coeff):
+    """Depth of the face ring of K over the field `coeff` by Hochster's
+    formula taken over every face F, with no cone or lattice shortcut:
+    the least |F| + 1 + j with the reduced homology of lk F nonzero in
+    degree j, and dim K + 1 when there is none.  Reads only the facets
+    of K and the characteristic."""
+    faces = face_set(K.n, K.facets)
+    if not faces:
+        raise ValueError("the void complex has no face ring")
+    d = max(map(len, faces))
+    for F in faces:
+        betti = field_reduced_betti(_link_of(faces, F), coeff.p)
+        low = min((j for j, b in betti.items() if b), default=None)
+        if low is not None:
+            d = min(d, len(F) + 1 + low)
+    return d
+
+
+def _link_of(faces, F):
+    """The link of F in a face set, as a frozenset of faces with the
+    vertices of F taken out (no relabelling)."""
+    return frozenset(tuple(v for v in G if v not in F)
+                     for G in faces if is_subface(F, G))
 
 
 def determinant(A):

@@ -324,6 +324,16 @@ def test_sweep_validates_arguments():
         sweep(6)  # exhaustive beyond the cap
 
 
+def test_run_instance_and_sweep_refuse_an_empty_selection_of_checks(
+        hollow_triangle):
+    for run in (lambda: run_instance(hollow_triangle, (), (Q,)),
+                lambda: sweep(2, check_ids=())):
+        with pytest.raises(ValueError, match="^no checks selected$"):
+            run()
+    # no coefficients is a valid selection for a coefficient-free check
+    assert outcome(hollow_triangle, "delta_iso_nerve").passed
+
+
 def test_run_instance_and_sweep_refuse_an_unknown_check_alike(
         hollow_triangle):
     for run in (lambda ids: run_instance(hollow_triangle, ids, (Q,)),
@@ -368,28 +378,26 @@ def test_resolve_threads_env_interaction(monkeypatch):
         resolve_threads(0)
 
 
-def test_one_elimination_per_complex_for_all_coefficients(monkeypatch, rp2):
-    calls = []
-    eliminate = homology._eliminate_unit_pivots
+def test_no_core_is_reduced_twice_in_one_run_over_all_coefficients(
+        monkeypatch, rp2):
+    # the reduction is coefficient-free and memoised, so one run over Z,
+    # Q, F2 and F3 hands each complex to the kernel's face enumerator once
+    reduced = []
+    enumerate_faces = homology._face_masks
 
-    def counting(cols):
-        calls.append(1)
-        return eliminate(cols)
+    def recording(K):
+        reduced.append(K)
+        return enumerate_faces(K)
 
     # where the homology kernel looks it up
-    monkeypatch.setattr(homology, "_eliminate_unit_pivots", counting)
-
-    def eliminations(K, coeffs):
-        clear_caches()
-        calls.clear()
-        run_instance(K, CHECK_IDS, coeffs)
-        return len(calls)
-
+    monkeypatch.setattr(homology, "_face_masks", recording)
     total = 0
     for K in [rp2] + random_complexes(8, 1, 20):
-        one = eliminations(K, (Q,))
-        assert eliminations(K, (Z, Q, F2, F3)) <= one, K.facets
-        total += one
+        clear_caches()
+        reduced.clear()
+        run_instance(K, CHECK_IDS, (Z, Q, F2, F3))
+        assert len(set(reduced)) == len(reduced), K.facets
+        total += len(reduced)
     assert total > 0
 
 
@@ -442,6 +450,39 @@ def test_a_planted_defect_fails_the_sweep(monkeypatch, capsys, tmp_path):
         "nerve [Q] FAIL\ndelta_iso_nerve [-] FAIL\n")
 
 
+def test_a_planted_defect_fails_alike_on_two_workers(monkeypatch):
+    # the same defect: 473 failures over 167 complexes, which two workers
+    # take in eight chunks of 21, so the merge must keep the first 100 in
+    # corpus order and sum every tally, as one process does
+    monkeypatch.setattr(checks, "nerve_of_facets", _cone)
+    monkeypatch.delenv("SPECTRAL_DELTA_THREADS", raising=False)
+    clear_caches()
+    serial = sweep(4, threads=1).body_json()
+    clear_caches()
+    parallel = sweep(4, threads=2).body_json()
+    clear_caches()
+    assert parallel == serial
+    assert parallel["unexpected_failures"] == 473
+    assert len(parallel["failures"]) == 100
+
+
+def test_the_depth_checks_ask_no_depth_of_a_cone(monkeypatch, rp2):
+    # the derived complex of a cone is a simplex, which no depth can make
+    # either statement fail on
+    def no_depth(K, coeff):
+        raise AssertionError(f"depth asked for on {K.facets}")
+
+    monkeypatch.setattr(checks, "depth", no_depth)
+    cones = [K for K in enumerate_complexes(4) if K.is_cone]
+    assert len(cones) == 53
+    clear_caches()
+    for K in [_cone(rp2)] + cones:
+        outcomes = run_instance(K, ("hartshorne", "depth_vanishing"),
+                                (Z, Q, F2, F3))
+        assert [o.passed for o in outcomes] == [True] * 8, K.facets
+    clear_caches()
+
+
 def test_a_sweep_sees_torsion(monkeypatch, rp2):
     # RP^2, its suspension and its join with a 2-sphere carry Z/2 in
     # degrees 1, 2 and 4; the join's 40 primes are past delta's limit
@@ -467,12 +508,16 @@ def test_a_sweep_sees_torsion(monkeypatch, rp2):
 
 
 # the two torsion sweeps above, pinned whole: the sha256 of each body
-@pytest.mark.parametrize("args,digest", [
+TORSION_SWEEPS = [
     (dict(n=8, count=2, coeffs=(Z, Q), check_ids=("depth_vanishing",)),
      "46ce9dced0e72c6f45f9a64319fad3da9230479c42c45356e43020205bcb4f87"),
     (dict(n=10, count=3, coeffs=(Z, F2), check_ids=("few_facets", "uct")),
      "f4c576c1fcf0293e736886046e6e538d705546f188f64f123930f564b96e8344"),
-], ids=["depth_vanishing", "few_facets-uct"])
+]
+
+
+@pytest.mark.parametrize("args,digest", TORSION_SWEEPS,
+                         ids=["depth_vanishing", "few_facets-uct"])
 def test_torsion_sweep_bodies_are_pinned(monkeypatch, rp2, args, digest):
     corpus = [rp2, _join(rp2, make_complex(2, [(1,), (2,)])),
               _join(rp2, make_complex(4, combinations(range(1, 5), 3)))]
@@ -480,6 +525,21 @@ def test_torsion_sweep_bodies_are_pinned(monkeypatch, rp2, args, digest):
                         lambda n, seed, count: corpus[:count])
     monkeypatch.delenv("SPECTRAL_DELTA_THREADS", raising=False)
     rep = sweep(mode="random", seed=0, threads=1, **args)
+    assert _digest(rep.body_json()) == digest
+
+
+@pytest.mark.parametrize("args,digest", TORSION_SWEEPS,
+                         ids=["depth_vanishing", "few_facets-uct"])
+def test_torsion_sweep_bodies_are_pinned_on_two_workers(monkeypatch, rp2,
+                                                        args, digest):
+    # one complex a chunk: the torsion sightings come back in three parts
+    corpus = [rp2, _join(rp2, make_complex(2, [(1,), (2,)])),
+              _join(rp2, make_complex(4, combinations(range(1, 5), 3)))]
+    monkeypatch.setattr(checks, "random_complexes",
+                        lambda n, seed, count: corpus[:count])
+    monkeypatch.delenv("SPECTRAL_DELTA_THREADS", raising=False)
+    clear_caches()
+    rep = sweep(mode="random", seed=0, threads=2, **args)
     assert _digest(rep.body_json()) == digest
 
 

@@ -322,6 +322,19 @@ def test_check_unknown_check_id(capsys, hollow_file):
     assert code == 2 and "unknown check" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("check", "--checks", ","), "no checks selected"),
+    (("check", "--fields", ""), "no coefficients selected"),
+    (("sweep", "-n", "2", "--checks", " , "), "no checks selected"),
+    (("sweep", "-n", "2", "--fields", ""), "no coefficients selected"),
+], ids=["check-ids", "check-fields", "sweep-ids", "sweep-fields"])
+def test_an_empty_selection_exits_two(capsys, hollow_file, argv, message):
+    verb, *flags = argv
+    if verb == "check":
+        flags.insert(0, hollow_file)
+    assert run(capsys, verb, *flags) == (2, "", f"error: {message}\n")
+
+
 def test_sweep_text(capsys):
     code, out, _ = run(capsys, "sweep", "-n", "2")
     assert code == 0

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import reisner_cohen_macaulay
+from oracles import brute_depth, reisner_cohen_macaulay
 from spectral_delta import (
     FieldSpec,
     Q,
@@ -226,3 +226,18 @@ def test_link_walk_matches_the_betti_table_beyond_five_vertices(rp2):
             assert depth(K, F).depth \
                 == K.n - hochster_betti_table(K, F).max_degree(), \
                 (K.facets, F.label)
+
+
+def test_the_lattice_walk_matches_hochsters_formula_over_every_face(rp2):
+    # the library walks only the intersections of facets; the oracle
+    # takes every face's link, so a lattice missing the empty face or the
+    # intersections of three or more facets shows here.  Leaving out the
+    # facets changes no depth: with two or more facets, the walk stops
+    # before it reaches one
+    corpus = [K for n in (1, 2, 3, 4) for K in enumerate_complexes(n)]
+    corpus += [rp2] + random_complexes(7, 5, 4) + random_complexes(8, 5, 4)
+    clear_caches()
+    for K in corpus:
+        for F in (Q, F2, F3):
+            assert depth(K, F).depth == brute_depth(K, F), (K.facets,
+                                                            F.label)
